@@ -110,7 +110,7 @@ func BenchmarkEdgeGrowth(b *testing.B) {
 			minGrowth := n * n
 			for i := 0; i < b.N; i++ {
 				var rec trace.Recorder
-				_, err := core.Run(n, adversary.AscendingPath{}, core.Broadcast,
+				_, err := core.Run(n, &adversary.AscendingPath{}, core.Broadcast,
 					core.WithObserver(rec.Observer()))
 				if err != nil {
 					b.Fatal(err)
@@ -138,7 +138,7 @@ func BenchmarkRestricted(b *testing.B) {
 				src := rng.New(uint64(n)*100 + uint64(k))
 				total, runs := 0, 0
 				for i := 0; i < b.N; i++ {
-					rounds, err := core.BroadcastTime(n, adversary.KLeaves{K: k, Src: src})
+					rounds, err := core.BroadcastTime(n, adversary.NewKLeaves(k, src))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,7 +205,7 @@ func BenchmarkMatrixEvolution(b *testing.B) {
 			var final core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				final, err = core.Run(n, adversary.AscendingPath{}, core.Broadcast)
+				final, err = core.Run(n, &adversary.AscendingPath{}, core.Broadcast)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func BenchmarkGossip(b *testing.B) {
 			src := rng.New(uint64(n))
 			var sumB, sumG int
 			for i := 0; i < b.N; i++ {
-				bt, gt, err := gossip.BothTimes(n, adversary.Random{Src: src.Split()})
+				bt, gt, err := gossip.BothTimes(n, adversary.NewRandom(src.Split()))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -323,43 +323,58 @@ func BenchmarkNonsplitGame(b *testing.B) {
 	}
 }
 
-// BenchmarkTrialHotPath is the headline benchmark of the batched trial
-// pipeline: one complete random-adversary broadcast trial per op, on the
-// seed per-trial path (fresh engine + fresh allocating adversary each
-// trial, the pre-batching pipeline) versus the batched path (one pooled
-// core.Runner plus one reusable adversary, Reset per trial). Both paths
-// compute identical round counts from identical streams; only the
-// allocation profile differs. With -benchmem (or ReportAllocs, always
-// on here) the batched variant must show amortized O(1) allocations per
-// trial — and therefore per round — versus the per-trial path's
-// O(n + rounds·n) (the acceptance bar is a 5× allocs/op reduction; the
-// measured gap is ~3 orders of magnitude, recorded in EXPERIMENTS.md).
+// BenchmarkTrialHotPath measures one complete broadcast trial per op on
+// the campaign pipeline's execution pattern: one pooled core.Runner plus
+// one adversary built through the registry's Family.NewReusable and
+// warmed, then Reset to the trial's source and run per op. There is one
+// batched/<family>/n64 row per built-in family except the search-backed
+// ones (their cost is the offline search, not the trial), plus
+// random-tree rows at n = 256 and n = 1024. Every row but min-gain, whose
+// arborescence scratch is allocated per round, must run at 0 allocs/op;
+// scripts/benchdiff.sh gates the rows against scripts/bench-baseline.txt.
 func BenchmarkTrialHotPath(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("per-trial/n%d", n), func(b *testing.B) {
-			src := rng.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BroadcastTime(n, adversary.Random{Src: src}); err != nil {
-					b.Fatal(err)
-				}
+	type row struct {
+		family string
+		n      int
+	}
+	var rows []row
+	for _, f := range []string{"static-path", "random-tree", "random-path", "ascending-path", "block-leader",
+		"min-gain", "k-leaves", "k-inner", "two-phase-path", "stale-ascending"} {
+		rows = append(rows, row{f, 64})
+	}
+	rows = append(rows, row{"random-tree", 256}, row{"random-tree", 1024})
+	families := map[string]campaign.Family{}
+	for _, f := range campaign.Families() {
+		families[f.Name] = f
+	}
+	for _, r := range rows {
+		b.Run(fmt.Sprintf("batched/%s/n%d", r.family, r.n), func(b *testing.B) {
+			sc := campaign.Scenario{Adversary: r.family}
+			if r.family == "k-leaves" || r.family == "k-inner" {
+				sc.Params = map[string]any{"k": 4}
 			}
-		})
-		b.Run(fmt.Sprintf("batched/n%d", n), func(b *testing.B) {
+			grounds, err := campaign.GroundScenarios(sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			adv, err := families[r.family].NewReusable(r.n, campaign.Params(grounds[0].Params))
+			if err != nil {
+				b.Fatal(err)
+			}
 			src := rng.New(1)
-			r := core.NewRunner()
-			adv := adversary.NewReusableRandom()
-			// Warm the arena so the steady state is measured; the one-time
-			// buffer growth is amortized over the cell's trials in real runs.
+			runner := core.NewRunner()
+			// Warm the adversary and runner so the steady state is
+			// measured; the one-time buffer growth is amortized over a
+			// cell's trials in real runs.
 			adv.Reset(src)
-			if _, err := r.BroadcastTime(n, adv); err != nil {
+			if _, err := runner.BroadcastTime(r.n, adv); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				adv.Reset(src)
-				if _, err := r.BroadcastTime(n, adv); err != nil {
+				if _, err := runner.BroadcastTime(r.n, adv); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -448,7 +463,7 @@ func BenchmarkConsensus(b *testing.B) {
 			}
 			var last int
 			for i := 0; i < b.N; i++ {
-				res, err := consensus.FloodMin(proposals, adversary.Random{Src: src.Split()})
+				res, err := consensus.FloodMin(proposals, adversary.NewRandom(src.Split()))
 				if err != nil {
 					b.Fatal(err)
 				}

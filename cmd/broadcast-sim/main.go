@@ -83,10 +83,11 @@ func run(args []string) error {
 		return runTrials(*advName, *n, *seed, *trials, *workers, goal, *maxR)
 	}
 
-	adv, err := buildAdversary(*advName, *n, *seed)
+	newAdv, err := adversaryFactory(*advName, *n, *seed)
 	if err != nil {
 		return err
 	}
+	adv := newAdv(rng.New(*seed))
 
 	var rec trace.Recorder
 	opts := []core.Option{core.WithObserver(rec.Observer())}
@@ -125,18 +126,18 @@ func runTrials(advName string, n int, seed uint64, trials, workers int, goal cor
 	if maxR > 0 {
 		opts = append(opts, core.WithMaxRounds(maxR))
 	}
+	newAdv, err := adversaryFactory(advName, n, seed)
+	if err != nil {
+		return err
+	}
 	root := rng.New(seed)
 	jobs := make([]campaign.Job, trials)
 	for i := range jobs {
 		jobs[i] = campaign.Job{
 			Index: i,
 			Src:   root.Split(),
-			Run: func(_ context.Context, src *rng.Source) ([]campaign.Measurement, error) {
-				adv, err := buildAdversaryFrom(advName, n, src, seed)
-				if err != nil {
-					return nil, err
-				}
-				res, err := core.Run(n, adv, goal, opts...)
+			Run: func(_ context.Context, src *rng.Source, _ *campaign.Arena) ([]campaign.Measurement, error) {
+				res, err := core.Run(n, newAdv(src), goal, opts...)
 				if err != nil {
 					return nil, err
 				}
@@ -173,30 +174,30 @@ func advNames() []string {
 	return append(names, "beam-search", "exact-optimal")
 }
 
-func buildAdversary(name string, n int, seed uint64) (core.Adversary, error) {
-	return buildAdversaryFrom(name, n, rng.New(seed), seed)
-}
-
-// buildAdversaryFrom builds the named adversary from an explicit source
-// (for per-trial splitting). The search strata are deterministic given
-// seed and ignore src.
-func buildAdversaryFrom(name string, n int, src *rng.Source, seed uint64) (core.Adversary, error) {
+// adversaryFactory resolves the named adversary once and returns its
+// per-trial constructor. Portfolio families build a fresh adversary from
+// each trial's source; the search strata are deterministic given seed, so
+// their search runs here, once, and every trial shares the read-only
+// result.
+func adversaryFactory(name string, n int, seed uint64) (func(src *rng.Source) core.Adversary, error) {
 	for _, na := range experiment.Portfolio() {
 		if na.Name == name {
-			return na.New(n, src), nil
+			return func(src *rng.Source) core.Adversary { return na.New(n, src) }, nil
 		}
 	}
+	var adv core.Adversary
 	switch name {
 	case "beam-search":
-		rep, _ := adversary.BeamSearch(n, adversary.BeamConfig{Width: 16, Seed: seed})
-		return rep, nil
+		adv, _ = adversary.BeamSearch(n, adversary.BeamConfig{Width: 16, Seed: seed})
 	case "exact-optimal":
 		s, err := gamesolver.New(n)
 		if err != nil {
 			return nil, err
 		}
-		return gamesolver.Optimal{S: s}, nil
+		adv = gamesolver.Optimal{S: s}
+	default:
+		return nil, fmt.Errorf("unknown adversary %q (known: %s)",
+			name, strings.Join(advNames(), ", "))
 	}
-	return nil, fmt.Errorf("unknown adversary %q (known: %s)",
-		name, strings.Join(advNames(), ", "))
+	return func(*rng.Source) core.Adversary { return adv }, nil
 }

@@ -23,10 +23,9 @@
 //
 // Jobs are scheduled as cell batches: a cell's trials run sequentially on
 // one worker against a pooled engine arena, which is what keeps large
-// grids allocation-free (see DESIGN.md §3d). -batch caps the batch size
-// (default 0 = whole cell; 1 recovers one-trial-per-job scheduling, which
-// can help few-cell grids spread across more cores). The artifact is
-// byte-identical for every -batch and -workers combination.
+// grids allocation-free (see DESIGN.md §3d); when a grid has fewer cells
+// than workers, its cells are split evenly across the pool. The artifact
+// is byte-identical for every -workers value.
 //
 // When stderr is a terminal a live progress line repaints after every
 // completed job — done/total cells and trials, observed trials/sec, and
@@ -103,7 +102,6 @@ func run(args []string) error {
 		maxR     = fs.Int("max-rounds", 0, "round budget per run (0 = engine default n^2+1)")
 		name     = fs.String("name", "", "campaign name (recorded in artifacts)")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		batch    = fs.Int("batch", 0, "trials per scheduled cell batch (0 = whole cell, 1 = per-trial); output is identical for every value")
 		format   = fs.String("format", "table", "output: table, csv, json, jsonl")
 		outPath  = fs.String("out", "", "write output to this file instead of stdout")
 		progress = fs.Bool("progress", false, "force the live progress line even when stderr is not a terminal")
@@ -170,7 +168,7 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := campaign.Config{Workers: *workers, Batch: *batch}
+	cfg := campaign.Config{Workers: *workers}
 	if !*quiet && (*progress || stderrIsTerminal()) {
 		cfg.Progress = progressLine(spec.Trials, time.Now())
 	}

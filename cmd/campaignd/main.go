@@ -78,7 +78,6 @@ func main() {
 type options struct {
 	addr          string
 	workers       int
-	batch         int
 	checkpointDir string
 	cacheDir      string
 	storeDir      string
@@ -100,7 +99,6 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
-	fs.IntVar(&o.batch, "batch", 0, "trials per scheduled cell batch (0 = whole cell); artifacts are identical for every value")
 	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "checkpoint campaigns to this directory (enables resume)")
 	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed cell cache directory shared across campaigns")
 	fs.StringVar(&o.storeDir, "store", "", "results warehouse directory: campaigns cache cells into it, finished runs are ingested, and the /results query endpoints come up (subsumes -cache)")
@@ -180,7 +178,7 @@ func parseFlags(args []string) (options, error) {
 // checkpoint, and warehouse directories as needed). The returned store
 // is non-nil exactly when -store is set; run starts its retention GC.
 func build(o options, logf func(string, ...any)) (*server.Server, *store.Store, error) {
-	opts := server.Options{Workers: o.workers, Batch: o.batch, CheckpointDir: o.checkpointDir, Logf: logf}
+	opts := server.Options{Workers: o.workers, CheckpointDir: o.checkpointDir, Logf: logf}
 	if o.cluster {
 		opts.Cluster = cluster.New(cluster.Options{LeaseTTL: o.leaseTTL, ShardTrials: o.shardTrials, Logf: logf})
 	}

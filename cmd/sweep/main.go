@@ -53,7 +53,6 @@ func run(args []string) error {
 		maxN    = fs.Int("max-n", 5, "largest n for the exact experiment")
 		asCSV   = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		wrkrs   = fs.Int("workers", 0, "campaign worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-		batch   = fs.Int("batch", 0, "trials per scheduled cell batch (0 = whole cell); output is identical for every value")
 		outPath = fs.String("out", "", "write output to this file instead of stdout")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +67,7 @@ func run(args []string) error {
 		return fmt.Errorf("-ks: %w", err)
 	}
 
-	opts := []experiment.Option{experiment.WithWorkers(*wrkrs), experiment.WithBatch(*batch)}
+	opts := []experiment.Option{experiment.WithWorkers(*wrkrs)}
 	var table *experiment.Table
 	switch *exp {
 	case "figure1":
@@ -86,7 +85,7 @@ func run(args []string) error {
 	case "gossip":
 		table, err = experiment.GossipVsBroadcast(ns, *trials, *seed, opts...)
 	case "grid":
-		table, err = gridTable(scenarios, ns, *trials, *seed, *wrkrs, *batch)
+		table, err = gridTable(scenarios, ns, *trials, *seed, *wrkrs)
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
@@ -111,7 +110,7 @@ func run(args []string) error {
 // gridTable runs an ad-hoc scenario grid through the campaign runner and
 // renders its aggregates — the scenario-form sibling of cmd/campaign for
 // quick sweeps over any registered family.
-func gridTable(scenarios []campaign.Scenario, ns []int, trials int, seed uint64, workers, batch int) (*experiment.Table, error) {
+func gridTable(scenarios []campaign.Scenario, ns []int, trials int, seed uint64, workers int) (*experiment.Table, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("-exp grid needs at least one -scenario")
 	}
@@ -123,7 +122,7 @@ func gridTable(scenarios []campaign.Scenario, ns []int, trials int, seed uint64,
 		Trials:    trials,
 		Seed:      seed,
 	}
-	outcome, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: workers, Batch: batch})
+	outcome, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -76,8 +76,8 @@ type (
 	Runner = core.Runner
 	// ReusableAdversary is an adversary whose per-n scratch persists
 	// across trials: Reset rebinds it to a fresh trial's random source.
-	// An AdversaryFamily may construct one via its NewReusable hook to
-	// opt into cross-trial reuse in the batched campaign pipeline.
+	// An AdversaryFamily constructs one with its NewReusable hook; the
+	// campaign pool builds one per (worker, cell) and Resets it per trial.
 	ReusableAdversary = campaign.ReusableAdversary
 )
 
@@ -147,7 +147,9 @@ func BroadcastTime(n int, adv Adversary, opts ...Option) (int, error) {
 // guarantees suffices for broadcast).
 func WithMaxRounds(m int) Option { return core.WithMaxRounds(m) }
 
-// WithObserver installs a per-round callback.
+// WithObserver installs a per-round callback. The tree it receives is
+// valid only until the next round — in-place adversaries such as
+// RandomAdversary reuse its storage — so copy it (t.Parents()) to keep it.
 func WithObserver(fn func(round int, t *Tree, e *Engine)) Option {
 	return core.WithObserver(fn)
 }
@@ -160,27 +162,28 @@ func StaticAdversary(t *Tree) Adversary { return adversary.Static{Tree: t} }
 func ScheduleAdversary(trees []*Tree) Adversary { return adversary.Replay{Trees: trees} }
 
 // RandomAdversary plays an independent uniformly random rooted tree each
-// round.
-func RandomAdversary(r *Rand) Adversary { return adversary.Random{Src: r} }
+// round. It generates trees in place, so a returned tree is valid until
+// the next round.
+func RandomAdversary(r *Rand) Adversary { return adversary.NewRandom(r) }
 
 // RandomPathAdversary plays an independent uniformly random path each
 // round.
-func RandomPathAdversary(r *Rand) Adversary { return adversary.RandomPath{Src: r} }
+func RandomPathAdversary(r *Rand) Adversary { return adversary.NewRandomPath(r) }
 
 // KLeavesAdversary plays random trees with exactly k leaves — the
 // restricted class with O(k·n) broadcast time (Zeiner et al.).
-func KLeavesAdversary(k int, r *Rand) Adversary { return adversary.KLeaves{K: k, Src: r} }
+func KLeavesAdversary(k int, r *Rand) Adversary { return adversary.NewKLeaves(k, r) }
 
 // KInnerAdversary plays random trees with exactly k inner nodes — the
 // other restricted O(k·n) class.
-func KInnerAdversary(k int, r *Rand) Adversary { return adversary.KInner{K: k, Src: r} }
+func KInnerAdversary(k int, r *Rand) Adversary { return adversary.NewKInner(k, r) }
 
 // AscendingPathAdversary plays the path ordered by ascending heard-set
 // size: a strong deterministic stalling heuristic (≈ n−1 rounds).
-func AscendingPathAdversary() Adversary { return adversary.AscendingPath{} }
+func AscendingPathAdversary() Adversary { return &adversary.AscendingPath{} }
 
 // BlockLeaderAdversary freezes the most-spread value each round.
-func BlockLeaderAdversary() Adversary { return adversary.BlockLeader{} }
+func BlockLeaderAdversary() Adversary { return &adversary.BlockLeader{} }
 
 // MinGainAdversary plays a minimum-total-knowledge-gain arborescence each
 // round (Chu-Liu/Edmonds). Deliberately measurable as a *failed* heuristic:
@@ -347,8 +350,8 @@ const (
 //	err := dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
 //	    Name:   "my-adversary",
 //	    Params: []dyntreecast.AdversaryParam{{Name: "depth", Kind: dyntreecast.IntParam, Default: 2}},
-//	    New: func(n int, p dyntreecast.AdversaryParams, r *dyntreecast.Rand) (dyntreecast.Adversary, error) {
-//	        return myAdversary(n, p.Int("depth"), r), nil
+//	    NewReusable: func(n int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
+//	        return newMyAdversary(n, p.Int("depth")), nil // Reset(r) binds each trial's source
 //	    },
 //	})
 //
@@ -460,16 +463,6 @@ func CampaignWithCluster(c *ClusterCoordinator) CampaignOption {
 // coordinator is an error.
 func RunClusterWorker(ctx context.Context, url string) error {
 	return cluster.RunWorker(ctx, url, cluster.WorkerOptions{})
-}
-
-// CampaignWithBatch caps how many trials of one grid cell are scheduled
-// as a single unit on one worker. The default (0) batches whole cells —
-// a cell's trials run sequentially against a pooled engine arena, the
-// fastest configuration for large grids; 1 recovers one-trial-per-job
-// scheduling, which can spread a few-cell grid across more cores. The
-// outcome is byte-identical for every value.
-func CampaignWithBatch(batch int) CampaignOption {
-	return func(s *campaignSettings) { s.cfg.Batch = batch }
 }
 
 func runCampaign(ctx context.Context, spec Campaign, workers int, opts []CampaignOption) (*CampaignOutcome, error) {

@@ -347,6 +347,9 @@ func TestResumeCampaignRequiresCheckpoint(t *testing.T) {
 // public facade, as downstream code would.
 type stridingStar struct{ stride int }
 
+// Reset implements dyntreecast.ReusableAdversary (source-free).
+func (stridingStar) Reset(*dyntreecast.Rand) {}
+
 func (s stridingStar) Next(v dyntreecast.View) *dyntreecast.Tree {
 	star, err := dyntreecast.StarTree(v.N(), (v.Round()*s.stride)%v.N())
 	if err != nil {
@@ -371,7 +374,7 @@ func TestRegisterAdversaryFullStack(t *testing.T) {
 		Params: []dyntreecast.AdversaryParam{
 			{Name: "stride", Kind: dyntreecast.IntParam, Default: 1, Doc: "root advance per round"},
 		},
-		New: func(_ int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
+		NewReusable: func(_ int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
 			stride := p.Int("stride")
 			if stride < 1 {
 				return nil, fmt.Errorf("stride must be >= 1, got %d", stride)

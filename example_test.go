@@ -128,12 +128,12 @@ func ExampleRegisterAdversary() {
 		Feasible: func(n int, p dyntreecast.AdversaryParams) bool {
 			return p.Int("root") < n
 		},
-		New: func(n int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
+		NewReusable: func(n int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
 			star, err := dyntreecast.StarTree(n, p.Int("root"))
 			if err != nil {
 				return nil, err
 			}
-			return dyntreecast.StaticAdversary(star), nil
+			return fixedStar{star}, nil
 		},
 	})
 	if err != nil {
@@ -158,3 +158,10 @@ func ExampleRegisterAdversary() {
 	// example-star/n=8/root=0 mean=1
 	// example-star/n=8/root=5 mean=1
 }
+
+// fixedStar plays one star every round. It is source-free, so its Reset
+// (the ReusableAdversary hook) is a no-op.
+type fixedStar struct{ star *dyntreecast.Tree }
+
+func (a fixedStar) Next(dyntreecast.View) *dyntreecast.Tree { return a.star }
+func (fixedStar) Reset(*dyntreecast.Rand)                   {}

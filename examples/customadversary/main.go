@@ -31,6 +31,10 @@ import (
 // encodes so infeasible grid points are skipped instead of failing.
 type stridedPath struct{ step int }
 
+// Reset implements dyntreecast.ReusableAdversary; the schedule is
+// source-free, so there is nothing to rebind.
+func (stridedPath) Reset(*dyntreecast.Rand) {}
+
 // Next implements dyntreecast.Adversary.
 func (a stridedPath) Next(v dyntreecast.View) *dyntreecast.Tree {
 	n := v.N()
@@ -68,7 +72,7 @@ func main() {
 		Feasible: func(n int, p dyntreecast.AdversaryParams) bool {
 			return gcd(p.Int("step"), n) == 1 // otherwise the stride is no permutation
 		},
-		New: func(_ int, p dyntreecast.AdversaryParams, _ *dyntreecast.Rand) (dyntreecast.Adversary, error) {
+		NewReusable: func(_ int, p dyntreecast.AdversaryParams) (dyntreecast.ReusableAdversary, error) {
 			return stridedPath{step: p.Int("step")}, nil
 		},
 	})

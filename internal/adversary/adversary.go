@@ -20,6 +20,16 @@
 // explicit rng.Source), so every experiment in this repository reproduces
 // bit-for-bit from seeds.
 //
+// Every stock adversary has one form, reusable across trials (DESIGN.md
+// §3d): Reset rebinds it to a fresh trial's random source (a no-op for
+// source-free adversaries) while its per-n scratch — tree buffers, bitset
+// rows, sort workspaces — persists, so a warm adversary plays whole trials
+// without allocating. The trees the scratch-backed adversaries (Random,
+// RandomPath, KLeaves, KInner, AscendingPath, BlockLeader,
+// StaleAscendingPath) return alias that scratch: each is valid only until
+// the adversary's next Next call, which is exactly the lifetime
+// core.Engine.Step needs. Callers that keep round trees must copy them.
+//
 // Paper anchors: the portfolio feeds the best-measured curves of Figure 1
 // (experiment E1) and the Theorem 3.1 sandwich checks (E2); the static
 // path realizes the §2 equality t* = n−1 (E3); KLeaves/KInner reproduce
@@ -28,9 +38,6 @@
 package adversary
 
 import (
-	"fmt"
-
-	"dyntreecast/internal/bitset"
 	"dyntreecast/internal/core"
 	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
@@ -50,6 +57,10 @@ type Static struct{ Tree *tree.Tree }
 
 // Next implements core.Adversary.
 func (s Static) Next(core.View) *tree.Tree { return s.Tree }
+
+// Reset implements the reusable-adversary contract (the schedule is
+// source-free).
+func (Static) Reset(*rng.Source) {}
 
 var _ core.Adversary = Static{}
 
@@ -83,98 +94,91 @@ func (r Replay) Next(v core.View) *tree.Tree {
 	return r.Trees[len(r.Trees)-1]
 }
 
+// Reset implements the reusable-adversary contract (the schedule is
+// source-free).
+func (Replay) Reset(*rng.Source) {}
+
 var _ core.Adversary = Replay{}
 
-// reachSets materializes the reach sets R_x (rows of the adjacency matrix)
-// from a view's heard sets (columns): y ∈ R_x iff x ∈ K_y. O(n²) bit ops.
-func reachSets(v core.View) []*bitset.Set {
-	n := v.N()
-	rows := make([]*bitset.Set, n)
-	for x := 0; x < n; x++ {
-		rows[x] = bitset.New(n)
-	}
-	for y := 0; y < n; y++ {
-		v.Heard(y).ForEach(func(x int) bool {
-			rows[x].Set(y)
-			return true
-		})
-	}
-	return rows
+// Random plays an independent uniformly random rooted tree each round,
+// generated in place.
+type Random struct {
+	src *rng.Source
+	buf tree.Buf
 }
 
-// heardCounts returns |K_y| for every y.
-func heardCounts(v core.View) []int {
-	n := v.N()
-	out := make([]int, n)
-	for y := 0; y < n; y++ {
-		out[y] = v.Heard(y).Count()
-	}
-	return out
-}
+// NewRandom returns a Random drawing from src.
+func NewRandom(src *rng.Source) *Random { return &Random{src: src} }
 
-// validateN panics if the adversary was constructed for a different n than
-// the engine it is driving. Used by adaptive adversaries that precompute
-// n-sized scratch state. The panic marks a programmer error in direct
-// library use; every construction path reachable from user input (campaign
-// specs, campaignd requests) goes through error-returning constructors
-// such as NewTwoPhasePath, which validate before the engine ever steps.
-func validateN(want, got int) {
-	if want != got {
-		panic(fmt.Sprintf("adversary: built for n=%d, driven with n=%d", want, got))
-	}
-}
-
-// Random plays an independent uniformly random rooted tree each round.
-type Random struct{ Src *rng.Source }
+// Reset rebinds the adversary to a fresh trial's source.
+func (r *Random) Reset(src *rng.Source) { r.src = src }
 
 // Next implements core.Adversary.
-func (r Random) Next(v core.View) *tree.Tree { return tree.Random(v.N(), r.Src) }
-
-var _ core.Adversary = Random{}
+func (r *Random) Next(v core.View) *tree.Tree { return tree.RandomInto(&r.buf, v.N(), r.src) }
 
 // RandomPath plays an independent uniformly random directed path each
-// round.
-type RandomPath struct{ Src *rng.Source }
+// round, generated in place.
+type RandomPath struct {
+	src *rng.Source
+	buf tree.Buf
+}
+
+// NewRandomPath returns a RandomPath drawing from src.
+func NewRandomPath(src *rng.Source) *RandomPath { return &RandomPath{src: src} }
+
+// Reset rebinds the adversary to a fresh trial's source.
+func (r *RandomPath) Reset(src *rng.Source) { r.src = src }
 
 // Next implements core.Adversary.
-func (r RandomPath) Next(v core.View) *tree.Tree { return tree.RandomPath(v.N(), r.Src) }
+func (r *RandomPath) Next(v core.View) *tree.Tree {
+	return tree.RandomPathInto(&r.buf, v.N(), r.src)
+}
 
-var _ core.Adversary = RandomPath{}
-
-// KLeaves plays random trees with exactly K leaves — the k-leaf restricted
+// KLeaves plays random trees with exactly k leaves — the k-leaf restricted
 // adversary class of Zeiner et al., for which broadcast time is O(k·n).
 type KLeaves struct {
-	K   int
-	Src *rng.Source
+	k   int
+	src *rng.Source
+	buf tree.Buf
 }
 
-// Next implements core.Adversary. It returns nil (failing the run) if K is
+// NewKLeaves returns a KLeaves playing k-leaf trees drawn from src.
+func NewKLeaves(k int, src *rng.Source) *KLeaves { return &KLeaves{k: k, src: src} }
+
+// Reset rebinds the adversary to a fresh trial's source.
+func (a *KLeaves) Reset(src *rng.Source) { a.src = src }
+
+// Next implements core.Adversary. It returns nil (failing the run) if k is
 // infeasible for the engine's n.
-func (a KLeaves) Next(v core.View) *tree.Tree {
-	t, err := tree.RandomWithLeaves(v.N(), a.K, a.Src)
+func (a *KLeaves) Next(v core.View) *tree.Tree {
+	t, err := tree.RandomWithLeavesInto(&a.buf, v.N(), a.k, a.src)
 	if err != nil {
 		return nil
 	}
 	return t
 }
 
-var _ core.Adversary = KLeaves{}
-
-// KInner plays random trees with exactly K inner nodes — the k-inner-node
+// KInner plays random trees with exactly k inner nodes — the k-inner-node
 // restricted adversary class of Zeiner et al.
 type KInner struct {
-	K   int
-	Src *rng.Source
+	k   int
+	src *rng.Source
+	buf tree.Buf
 }
 
-// Next implements core.Adversary. It returns nil (failing the run) if K is
+// NewKInner returns a KInner playing trees with exactly k inner nodes
+// drawn from src.
+func NewKInner(k int, src *rng.Source) *KInner { return &KInner{k: k, src: src} }
+
+// Reset rebinds the adversary to a fresh trial's source.
+func (a *KInner) Reset(src *rng.Source) { a.src = src }
+
+// Next implements core.Adversary. It returns nil (failing the run) if k is
 // infeasible for the engine's n.
-func (a KInner) Next(v core.View) *tree.Tree {
-	t, err := tree.RandomWithInner(v.N(), a.K, a.Src)
+func (a *KInner) Next(v core.View) *tree.Tree {
+	t, err := tree.RandomWithInnerInto(&a.buf, v.N(), a.k, a.src)
 	if err != nil {
 		return nil
 	}
 	return t
 }
-
-var _ core.Adversary = KInner{}

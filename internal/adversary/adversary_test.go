@@ -79,7 +79,7 @@ func TestRandomAdversaryWithinBounds(t *testing.T) {
 	src := rng.New(7)
 	for _, n := range []int{2, 8, 32} {
 		for trial := 0; trial < 5; trial++ {
-			got, err := core.BroadcastTime(n, Random{Src: src})
+			got, err := core.BroadcastTime(n, NewRandom(src))
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -93,7 +93,7 @@ func TestRandomAdversaryWithinBounds(t *testing.T) {
 func TestRandomPathAdversaryWithinBounds(t *testing.T) {
 	src := rng.New(8)
 	for _, n := range []int{2, 8, 32} {
-		got, err := core.BroadcastTime(n, RandomPath{Src: src})
+		got, err := core.BroadcastTime(n, NewRandomPath(src))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -106,7 +106,7 @@ func TestRandomPathAdversaryWithinBounds(t *testing.T) {
 func TestKLeavesPlaysOnlyKLeafTrees(t *testing.T) {
 	src := rng.New(9)
 	const n, k = 12, 3
-	_, err := core.Run(n, KLeaves{K: k, Src: src}, core.Broadcast,
+	_, err := core.Run(n, NewKLeaves(k, src), core.Broadcast,
 		core.WithObserver(func(r int, tr *tree.Tree, e *core.Engine) {
 			if got := tr.NumLeaves(); got != k {
 				t.Errorf("round %d: tree has %d leaves, want %d", r, got, k)
@@ -119,7 +119,7 @@ func TestKLeavesPlaysOnlyKLeafTrees(t *testing.T) {
 
 func TestKLeavesInfeasibleFailsRun(t *testing.T) {
 	src := rng.New(9)
-	_, err := core.Run(3, KLeaves{K: 5, Src: src}, core.Broadcast)
+	_, err := core.Run(3, NewKLeaves(5, src), core.Broadcast)
 	if !errors.Is(err, core.ErrBadTree) {
 		t.Fatalf("err = %v, want ErrBadTree", err)
 	}
@@ -128,7 +128,7 @@ func TestKLeavesInfeasibleFailsRun(t *testing.T) {
 func TestKInnerPlaysOnlyKInnerTrees(t *testing.T) {
 	src := rng.New(10)
 	const n, k = 12, 4
-	_, err := core.Run(n, KInner{K: k, Src: src}, core.Broadcast,
+	_, err := core.Run(n, NewKInner(k, src), core.Broadcast,
 		core.WithObserver(func(r int, tr *tree.Tree, e *core.Engine) {
 			if got := tr.NumInner(); got != k {
 				t.Errorf("round %d: tree has %d inner nodes, want %d", r, got, k)
@@ -141,7 +141,7 @@ func TestKInnerPlaysOnlyKInnerTrees(t *testing.T) {
 
 func TestAscendingPathWithinBounds(t *testing.T) {
 	for _, n := range []int{2, 6, 20, 50} {
-		got, err := core.BroadcastTime(n, AscendingPath{})
+		got, err := core.BroadcastTime(n, &AscendingPath{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -154,29 +154,12 @@ func TestAscendingPathWithinBounds(t *testing.T) {
 	}
 }
 
-func TestDescendingPathFasterThanAscending(t *testing.T) {
-	// DescendingPath accelerates broadcast; AscendingPath delays it.
-	for _, n := range []int{8, 24} {
-		asc, err := core.BroadcastTime(n, AscendingPath{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		desc, err := core.BroadcastTime(n, DescendingPath{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if desc > asc {
-			t.Errorf("n=%d: descending (%d) slower than ascending (%d)", n, desc, asc)
-		}
-	}
-}
-
 func TestBlockLeaderFreezesLeader(t *testing.T) {
 	// After a BlockLeader round, the pre-round leader's reach must not
 	// have grown.
 	e := core.NewEngine(8)
 	e.Step(tree.IdentityPath(8)) // create a leader
-	adv := BlockLeader{}
+	adv := &BlockLeader{}
 	for r := 0; r < 10 && !e.BroadcastDone(); r++ {
 		leader, before := leaderReach(e)
 		e.Step(adv.Next(e))
@@ -200,7 +183,7 @@ func leaderReach(v core.View) (int, int) {
 
 func TestBlockLeaderWithinBounds(t *testing.T) {
 	for _, n := range []int{2, 6, 20, 50} {
-		got, err := core.BroadcastTime(n, BlockLeader{})
+		got, err := core.BroadcastTime(n, &BlockLeader{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -212,7 +195,10 @@ func TestBlockLeaderWithinBounds(t *testing.T) {
 
 func TestTwoPhasePath(t *testing.T) {
 	const n = 10
-	adv := TwoPhasePath{N: n, SwitchAt: n / 2, Prefix: n / 2}
+	adv, err := NewTwoPhasePath(n, n/2, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := core.BroadcastTime(n, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +214,15 @@ func TestTwoPhasePath(t *testing.T) {
 	}
 }
 
-func TestTwoPhasePathWrongNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	_, _ = core.BroadcastTime(5, TwoPhasePath{N: 7, SwitchAt: 3, Prefix: 3})
+// TestTwoPhasePathWrongNFailsRun: the precomputed trees are sized for the
+// constructor's n, so driving the schedule at another n fails the run with
+// core.ErrBadTree instead of panicking.
+func TestTwoPhasePathWrongNFailsRun(t *testing.T) {
+	adv, err := NewTwoPhasePath(7, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.BroadcastTime(5, adv); !errors.Is(err, core.ErrBadTree) {
+		t.Fatalf("err = %v, want ErrBadTree", err)
+	}
 }

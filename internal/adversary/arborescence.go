@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dyntreecast/internal/core"
+	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -242,5 +243,9 @@ func (a MinGain) Next(v core.View) *tree.Tree {
 	}
 	return t
 }
+
+// Reset implements the reusable-adversary contract (MinGain is
+// source-free; its arborescence scratch is allocated per round).
+func (MinGain) Reset(*rng.Source) {}
 
 var _ core.Adversary = MinGain{}

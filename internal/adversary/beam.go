@@ -86,7 +86,7 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 		return Replay{Trees: []*tree.Tree{tree.MustNew([]int{0})}}, 0
 	}
 
-	proposers := []core.Adversary{AscendingPath{}, BlockLeader{}, MinGain{Roots: 2}}
+	proposers := []core.Adversary{&AscendingPath{}, &BlockLeader{}, MinGain{Roots: 2}}
 
 	beam := []*beamNode{{eng: core.NewEngine(n)}}
 	bestRounds := 0
@@ -98,7 +98,9 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 		for _, node := range beam {
 			cands := make([]*tree.Tree, 0, len(proposers)+cfg.RandomMoves+cfg.RandomTrees)
 			for _, p := range proposers {
-				cands = append(cands, p.Next(node.eng))
+				// Copy: the heuristics' trees alias their scratch, and
+				// candidates outlive the next proposal (they enter the history).
+				cands = append(cands, tree.MustNew(p.Next(node.eng).Parents()))
 			}
 			for i := 0; i < cfg.RandomMoves; i++ {
 				cands = append(cands, tree.RandomPath(n, src))

@@ -2,11 +2,35 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
 
+	"dyntreecast/internal/bitset"
 	"dyntreecast/internal/core"
+	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
+
+// countingSortByAsc stably sorts order (a permutation of [0,n)) by
+// ascending key[v], using bucket as counting-sort scratch (grown to
+// maxKey+2). A stable sort by one key has a unique result, so this plays
+// exactly the order sort.SliceStable would, without reflection or
+// allocation.
+func countingSortByAsc(order, tmp []int, key []int, bucket *[]int, maxKey int) {
+	buckets := tree.Grow(bucket, maxKey+2)
+	for i := range buckets {
+		buckets[i] = 0
+	}
+	for _, v := range order {
+		buckets[key[v]+1]++
+	}
+	for i := 0; i < maxKey+1; i++ {
+		buckets[i+1] += buckets[i]
+	}
+	copy(tmp, order)
+	for _, v := range tmp {
+		order[buckets[key[v]]] = v
+		buckets[key[v]]++
+	}
+}
 
 // AscendingPath plays, each round, the path ordered by ascending heard-set
 // size: the most ignorant process is the root and everyone receives from a
@@ -16,45 +40,33 @@ import (
 // Rationale: along a path v1 → v2 → …, process v_{i+1} gains K_{v_i} \
 // K_{v_{i+1}}; feeding everyone from less-knowledgeable processes keeps
 // per-round knowledge growth near its minimum.
-type AscendingPath struct{}
-
-// Next implements core.Adversary.
-func (AscendingPath) Next(v core.View) *tree.Tree {
-	n := v.N()
-	counts := heardCounts(v)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return counts[order[a]] < counts[order[b]]
-	})
-	return tree.MustPath(order)
+//
+// The zero value is ready to use; its sort scratch and tree buffer are
+// pooled across rounds and trials.
+type AscendingPath struct {
+	buf                        tree.Buf
+	counts, order, tmp, bucket []int
 }
 
-var _ core.Adversary = AscendingPath{}
-
-// DescendingPath is the mirror image of AscendingPath (most knowledgeable
-// process at the root). It is a deliberately *bad* adversary — it
-// accelerates broadcast — and serves as the contrast case in the
-// heuristic-comparison experiments.
-type DescendingPath struct{}
+// Reset implements the reusable-adversary contract (AscendingPath is
+// source-free).
+func (*AscendingPath) Reset(*rng.Source) {}
 
 // Next implements core.Adversary.
-func (DescendingPath) Next(v core.View) *tree.Tree {
+func (a *AscendingPath) Next(v core.View) *tree.Tree {
 	n := v.N()
-	counts := heardCounts(v)
-	order := make([]int, n)
-	for i := range order {
+	counts := tree.Grow(&a.counts, n)
+	order := tree.Grow(&a.order, n)
+	tmp := tree.Grow(&a.tmp, n)
+	for i := 0; i < n; i++ {
+		counts[i] = v.Heard(i).Count()
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return counts[order[a]] > counts[order[b]]
-	})
-	return tree.MustPath(order)
+	countingSortByAsc(order, tmp, counts, &a.bucket, n)
+	return tree.PathInto(&a.buf, order)
 }
 
-var _ core.Adversary = DescendingPath{}
+var _ core.Adversary = (*AscendingPath)(nil)
 
 // BlockLeader stalls the most dangerous value. Each round it identifies
 // the leader — the incomplete value x with the largest reach set R_x —
@@ -67,13 +79,52 @@ var _ core.Adversary = DescendingPath{}
 // This single-round blocking is the basic mechanism behind the known
 // lower-bound constructions: broadcast cannot finish until the adversary
 // runs out of values it can afford to freeze.
-type BlockLeader struct{}
+//
+// The zero value is ready to use; its reach-set rows, sort scratch and
+// tree buffer are built once per n and refilled in place each round.
+type BlockLeader struct {
+	buf                tree.Buf
+	rows               []*bitset.Set
+	counts, order, tmp []int
+	bucket             []int
+}
+
+// Reset implements the reusable-adversary contract (BlockLeader is
+// source-free).
+func (*BlockLeader) Reset(*rng.Source) {}
+
+// reachRows refills the pooled rows with the view's reach sets R_x (rows
+// of the adjacency matrix) from its heard sets (columns): y ∈ R_x iff
+// x ∈ K_y. O(n²) bit ops.
+func (a *BlockLeader) reachRows(v core.View) []*bitset.Set {
+	n := v.N()
+	if len(a.rows) != n || (n > 0 && a.rows[0].Len() != n) {
+		a.rows = make([]*bitset.Set, n)
+		for x := range a.rows {
+			a.rows[x] = bitset.New(n)
+		}
+	} else {
+		for _, r := range a.rows {
+			r.Reset()
+		}
+	}
+	for y := 0; y < n; y++ {
+		v.Heard(y).ForEach(func(x int) bool {
+			a.rows[x].Set(y)
+			return true
+		})
+	}
+	return a.rows
+}
 
 // Next implements core.Adversary.
-func (BlockLeader) Next(v core.View) *tree.Tree {
+func (a *BlockLeader) Next(v core.View) *tree.Tree {
 	n := v.N()
-	rows := reachSets(v)
-	counts := heardCounts(v)
+	rows := a.reachRows(v)
+	counts := tree.Grow(&a.counts, n)
+	for y := 0; y < n; y++ {
+		counts[y] = v.Heard(y).Count()
+	}
 
 	// Leader: incomplete value with maximum reach; ties by id.
 	leader, best := -1, -1
@@ -84,51 +135,56 @@ func (BlockLeader) Next(v core.View) *tree.Tree {
 	}
 	if leader < 0 {
 		// Every value has completed (broadcast done); any tree is fine.
+		// (IdentityPath allocates, but this round is unreachable from the
+		// run loop, which stops once broadcast completes.)
 		return tree.IdentityPath(n)
 	}
 
-	nonKnowers := make([]int, 0, n)
-	knowers := make([]int, 0, n)
+	// order = non-knowers of the leader, then knowers, each segment
+	// stably sorted by ascending heard count.
+	order := tree.Grow(&a.order, n)
+	tmp := tree.Grow(&a.tmp, n)
+	nk := 0
 	for y := 0; y < n; y++ {
-		if v.Heard(y).Test(leader) {
-			knowers = append(knowers, y)
-		} else {
-			nonKnowers = append(nonKnowers, y)
+		if !v.Heard(y).Test(leader) {
+			order[nk] = y
+			nk++
 		}
 	}
-	byAscCount := func(s []int) {
-		sort.SliceStable(s, func(a, b int) bool { return counts[s[a]] < counts[s[b]] })
+	kStart := nk
+	for y := 0; y < n; y++ {
+		if v.Heard(y).Test(leader) {
+			order[kStart] = y
+			kStart++
+		}
 	}
-	byAscCount(nonKnowers)
-	byAscCount(knowers)
-	order := append(nonKnowers, knowers...)
-	return tree.MustPath(order)
+	countingSortByAsc(order[:nk], tmp[:nk], counts, &a.bucket, n)
+	countingSortByAsc(order[nk:], tmp[nk:], counts, &a.bucket, n)
+	return tree.PathInto(&a.buf, order)
 }
 
-var _ core.Adversary = BlockLeader{}
+var _ core.Adversary = (*BlockLeader)(nil)
 
 // TwoPhasePath is the explicit oblivious schedule in the spirit of the
 // Zeiner–Schwarz–Schmid lower-bound construction: play the identity path
-// for SwitchAt rounds, then play the path with its first Prefix vertices
-// reversed for the remainder. With SwitchAt ≈ n/2 and Prefix ≈ n/2 the
+// for switchAt rounds, then play the path with its first prefix vertices
+// reversed for the remainder. With switchAt ≈ n/2 and prefix ≈ n/2 the
 // schedule forces the early leaders' values to double back through the
 // first half before they can finish.
 //
 // The schedule is oblivious (state-independent), so the broadcast time it
 // achieves is a certified lower bound on t*(Tn) for that n. The bench
-// harness sweeps SwitchAt/Prefix and reports the best value found.
+// harness sweeps switchAt/prefix and reports the best value found.
 type TwoPhasePath struct {
-	N        int
-	SwitchAt int // rounds of phase 1
-	Prefix   int // how many leading vertices to reverse in phase 2
+	switchAt       int
+	phase1, phase2 *tree.Tree
 }
 
-// NewTwoPhasePath validates the schedule's shape and returns it as an
-// adversary. Unlike constructing the struct directly (whose Next panics
-// on a mismatched n — a programmer error), this path returns errors, so
-// it is safe to reach from user input such as campaign specs and
-// campaignd requests.
-func NewTwoPhasePath(n, switchAt, prefix int) (core.Adversary, error) {
+// NewTwoPhasePath validates the schedule's shape and precomputes its two
+// phase trees, so every round and every trial of a cell shares them. It
+// returns errors rather than panicking, so it is safe to reach from user
+// input such as campaign specs and campaignd requests.
+func NewTwoPhasePath(n, switchAt, prefix int) (*TwoPhasePath, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("adversary: two-phase path needs n >= 1, got %d", n)
 	}
@@ -138,28 +194,28 @@ func NewTwoPhasePath(n, switchAt, prefix int) (core.Adversary, error) {
 	if prefix < 0 || prefix > n {
 		return nil, fmt.Errorf("adversary: two-phase path needs 0 <= prefix <= n, got prefix=%d at n=%d", prefix, n)
 	}
-	return TwoPhasePath{N: n, SwitchAt: switchAt, Prefix: prefix}, nil
-}
-
-// Next implements core.Adversary.
-func (a TwoPhasePath) Next(v core.View) *tree.Tree {
-	validateN(a.N, v.N())
-	n := a.N
-	if v.Round() < a.SwitchAt {
-		return tree.IdentityPath(n)
-	}
-	p := a.Prefix
-	if p > n {
-		p = n
-	}
 	order := make([]int, 0, n)
-	for i := p - 1; i >= 0; i-- {
+	for i := prefix - 1; i >= 0; i-- {
 		order = append(order, i)
 	}
-	for i := p; i < n; i++ {
+	for i := prefix; i < n; i++ {
 		order = append(order, i)
 	}
-	return tree.MustPath(order)
+	return &TwoPhasePath{switchAt: switchAt, phase1: tree.IdentityPath(n), phase2: tree.MustPath(order)}, nil
 }
 
-var _ core.Adversary = TwoPhasePath{}
+// Reset implements the reusable-adversary contract (the schedule is
+// oblivious).
+func (*TwoPhasePath) Reset(*rng.Source) {}
+
+// Next implements core.Adversary. The trees are sized for the n given to
+// NewTwoPhasePath; an engine of any other size rejects them, failing the
+// run with core.ErrBadTree.
+func (a *TwoPhasePath) Next(v core.View) *tree.Tree {
+	if v.Round() < a.switchAt {
+		return a.phase1
+	}
+	return a.phase2
+}
+
+var _ core.Adversary = (*TwoPhasePath)(nil)

@@ -19,10 +19,8 @@ import (
 // The adversary is deterministic and source-free; its only state is a
 // ring of heard-count snapshots indexed by the view's round counter, so
 // one instance can drive many trials back to back (each trial restarts
-// at round 0 and overwrites the ring before ever reading it). It
-// implements the campaign layer's reusable-adversary contract directly:
-// the reusable form and a freshly built one are the same type, so the
-// batched and per-trial pipelines are trivially move-identical.
+// at round 0 and overwrites the ring before ever reading it), which is
+// why its Reset has nothing to do.
 type StaleAscendingPath struct {
 	lag   int
 	n     int

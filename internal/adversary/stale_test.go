@@ -26,7 +26,7 @@ func TestStaleLagZeroMatchesAscendingPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := AscendingPath{}
+		ref := &AscendingPath{}
 		eng := core.NewEngine(n)
 		for round := 0; !eng.BroadcastDone() && round <= n*n; round++ {
 			want := ref.Next(eng)

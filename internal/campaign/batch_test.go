@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -28,10 +30,18 @@ func batchSpec() Spec {
 	}
 }
 
-// TestBatchedPipelineByteIdentity is the tentpole acceptance property:
-// the batched, arena-pooled pipeline emits artifacts byte-identical to
-// the seed per-trial pipeline (NoReuse, batch 1), for every batch size ×
-// worker count combination — including the gossip goal.
+// batchGolden holds the SHA-256 of batchSpec()'s WriteJSON artifact per
+// goal, as produced by the per-trial reference pipeline (a fresh engine
+// and a fresh adversary per trial) before that pipeline was retired.
+var batchGolden = map[string]string{
+	"broadcast": "ed7ece55e9a6a59e552050836e78990e4ac96a5e5e99dc79bfa0b64487872aee",
+	"gossip":    "d4ee9af710cfb83e961c96129bbd49b821f6670280929e4bcabe6fd3ce78eb2f",
+}
+
+// TestBatchedPipelineByteIdentity pins the pooled pipeline to the
+// reference pipeline's exact artifact bytes, including the gossip goal,
+// at worker counts that batch whole cells (1, 4) and that split cells
+// across the pool (16 workers for 10 cells).
 func TestBatchedPipelineByteIdentity(t *testing.T) {
 	specs := map[string]Spec{"broadcast": batchSpec()}
 	// Gossip variant: random families only — the deterministic path
@@ -46,26 +56,14 @@ func TestBatchedPipelineByteIdentity(t *testing.T) {
 
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			// Reference: the pre-batching pipeline — per-trial jobs on
-			// fresh engines with fresh adversaries.
-			ref, err := RunSpec(context.Background(), spec, Config{Workers: 1, Batch: 1, NoReuse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref.Failed != 0 {
-				t.Fatalf("reference run failed jobs: %v", ref.Errors)
-			}
-			want := artifactBytes(t, ref)
-
-			for _, batch := range []int{1, 3, 0} {
-				for _, workers := range []int{1, 4} {
-					o, err := RunSpec(context.Background(), spec, Config{Workers: workers, Batch: batch})
-					if err != nil {
-						t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
-					}
-					if got := artifactBytes(t, o); !bytes.Equal(got, want) {
-						t.Errorf("batch=%d workers=%d: artifact differs from seed pipeline", batch, workers)
-					}
+			for _, workers := range []int{1, 4, 16} {
+				o, err := RunSpec(context.Background(), spec, Config{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				sum := sha256.Sum256(artifactBytes(t, o))
+				if got := hex.EncodeToString(sum[:]); got != batchGolden[name] {
+					t.Errorf("workers=%d: artifact digest %s, want %s", workers, got, batchGolden[name])
 				}
 			}
 		})
@@ -73,7 +71,7 @@ func TestBatchedPipelineByteIdentity(t *testing.T) {
 }
 
 // TestBatchedKillAndResumeByteIdentity extends the checkpoint guarantee
-// to the batched pipeline: kill mid-run at any batch size, resume at
+// to the pooled pipeline: kill mid-run at one worker count, resume at
 // another, and the artifact still matches an uninterrupted run's bytes.
 func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 	spec := batchSpec()
@@ -83,8 +81,8 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 	}
 	want := artifactBytes(t, unint)
 
-	for _, batch := range []int{1, 3, 0} {
-		for _, resumeBatch := range []int{0, 1} {
+	for _, workers := range []int{1, 3, 16} {
+		for _, resumeWorkers := range []int{1, 16} {
 			// Phase 1: checkpoint into memory and cancel after a few
 			// results land.
 			var ckpt bytes.Buffer
@@ -99,7 +97,7 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			seen := 0
 			_, runErr := RunSpec(ctx, spec, Config{
-				Workers: 2, Batch: batch,
+				Workers: workers,
 				OnResult: func(r JobResult) {
 					cw.Record(r)
 					if seen++; seen == 7 {
@@ -109,34 +107,34 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 			})
 			cancel()
 			if runErr == nil {
-				t.Fatalf("batch=%d: interrupted run reported no error", batch)
+				t.Fatalf("workers=%d: interrupted run reported no error", workers)
 			}
 			if err := cw.Err(); err != nil {
 				t.Fatal(err)
 			}
 
-			// Phase 2: resume from the checkpoint at a different batch
-			// size and worker count.
+			// Phase 2: resume from the checkpoint at another worker count.
 			cp, err := LoadCheckpoint(&ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(cp.Results) == 0 {
-				t.Fatalf("batch=%d: checkpoint recorded nothing", batch)
+				t.Fatalf("workers=%d: checkpoint recorded nothing", workers)
 			}
-			resumed, err := ResumeSpec(context.Background(), spec, cp, Config{Workers: 3, Batch: resumeBatch})
+			resumed, err := ResumeSpec(context.Background(), spec, cp, Config{Workers: resumeWorkers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := artifactBytes(t, resumed); !bytes.Equal(got, want) {
-				t.Errorf("batch=%d resumeBatch=%d: resumed artifact differs", batch, resumeBatch)
+				t.Errorf("workers=%d resumeWorkers=%d: resumed artifact differs", workers, resumeWorkers)
 			}
 		}
 	}
 }
 
-// TestSliceBatches pins the scheduling-unit construction: whole cells by
-// default, capped runs with a batch size, singletons for cell-less jobs.
+// TestSliceBatches pins the scheduling-unit construction under the
+// derived cap ⌈pending/workers⌉: whole cells when cells cover the pool,
+// an even split of one big cell otherwise, singletons for cell-less jobs.
 func TestSliceBatches(t *testing.T) {
 	mk := func(cells ...string) []Job {
 		jobs := make([]Job, len(cells))
@@ -145,20 +143,28 @@ func TestSliceBatches(t *testing.T) {
 		}
 		return jobs
 	}
+	cell := func(name string, trials int) []string {
+		out := make([]string, trials)
+		for i := range out {
+			out[i] = name
+		}
+		return out
+	}
+	fourCells := append(append(append(cell("a", 25), cell("b", 25)...), cell("c", 25)...), cell("d", 25)...)
 	cases := []struct {
-		name string
-		jobs []Job
-		size int
-		want []batch
+		name    string
+		jobs    []Job
+		workers int
+		want    []batch
 	}{
-		{"whole cells", mk("a", "a", "a", "b", "b"), 0, []batch{{0, 3}, {3, 5}}},
-		{"capped", mk("a", "a", "a", "b", "b"), 2, []batch{{0, 2}, {2, 3}, {3, 5}}},
-		{"per trial", mk("a", "a"), 1, []batch{{0, 1}, {1, 2}}},
-		{"ad hoc singletons", mk("", "", ""), 0, []batch{{0, 1}, {1, 2}, {2, 3}}},
-		{"interleaved", mk("a", "b", "a"), 0, []batch{{0, 1}, {1, 2}, {2, 3}}},
+		{"one cell over 4 workers", mk(cell("a", 10)...), 4, []batch{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
+		{"4 cells on 1 worker", mk(fourCells...), 1, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
+		{"4 cells on 4 workers", mk(fourCells...), 4, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
+		{"ad hoc singletons", mk("", "", ""), 1, []batch{{0, 1}, {1, 2}, {2, 3}}},
+		{"interleaved", mk("a", "b", "a"), 1, []batch{{0, 1}, {1, 2}, {2, 3}}},
 	}
 	for _, tc := range cases {
-		got := sliceBatches(tc.jobs, tc.size)
+		got := sliceBatches(tc.jobs, len(tc.jobs), tc.workers)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 			continue
@@ -171,17 +177,13 @@ func TestSliceBatches(t *testing.T) {
 	}
 }
 
-// TestFamilyReusableMatchesNew runs every built-in family that declares
-// NewReusable both ways — fresh construction per trial versus one
-// reusable adversary Reset per trial — and requires identical rounds.
-// This is the registry-level form of the adversary package's
-// differential suite.
+// TestFamilyReusableMatchesNew runs every built-in family both ways —
+// one adversary built per trial (NewReusable + Reset) versus one
+// adversary reused across trials with Reset per trial — and requires
+// identical rounds: the per-(worker, cell) reuse is invisible.
 func TestFamilyReusableMatchesNew(t *testing.T) {
-	for _, f := range Families() {
-		if f.NewReusable == nil {
-			continue
-		}
-		f := f
+	for _, decl := range append(builtinFamilies(), searchFamilies()...) {
+		f, _ := familyByName(decl.Name) // the registered copy has normalized defaults
 		t.Run(f.Name, func(t *testing.T) {
 			var params Params
 			if len(f.Params) > 0 {
@@ -199,21 +201,22 @@ func TestFamilyReusableMatchesNew(t *testing.T) {
 				t.Skipf("%s infeasible at n=%d with default params", f.Name, n)
 			}
 			runner := core.NewRunner()
-			reusable, err := f.NewReusable(n, params)
+			reused, err := f.NewReusable(n, params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < 5; trial++ {
 				seed := uint64(trial + 1)
-				plain, err := f.New(n, params, rng.New(seed))
+				fresh, err := f.NewReusable(n, params)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, errA := core.BroadcastTime(n, plain)
-				reusable.Reset(rng.New(seed))
-				got, errB := runner.BroadcastTime(n, reusable)
+				fresh.Reset(rng.New(seed))
+				want, errA := core.BroadcastTime(n, fresh)
+				reused.Reset(rng.New(seed))
+				got, errB := runner.BroadcastTime(n, reused)
 				if errA != nil || errB != nil || want != got {
-					t.Fatalf("trial %d: plain %d (%v), reusable %d (%v)", trial, want, errA, got, errB)
+					t.Fatalf("trial %d: fresh %d (%v), reused %d (%v)", trial, want, errA, got, errB)
 				}
 			}
 		})

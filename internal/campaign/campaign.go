@@ -6,9 +6,10 @@
 // Jobs are scheduled as cell batches (DESIGN.md §3d): consecutive trials
 // of one grid cell run sequentially on one worker, against the worker's
 // Arena — a pooled core.Runner plus a per-cell reusable adversary — so
-// the steady-state trial loop allocates nothing. Config.Batch caps the
-// batch size (0 = whole cell) and Config.NoReuse reverts to the
-// per-trial pipeline; neither changes a single output byte.
+// the steady-state trial loop allocates nothing. Run caps a batch at
+// ⌈pending jobs / workers⌉: grids with at least as many cells as workers
+// run whole cells, and a single big cell is split evenly across the pool.
+// The split never changes an output byte.
 //
 // Scenarios name adversary families from an open registry (scenario.go,
 // DESIGN.md §3c): each family self-describes its parameters — names,
@@ -73,34 +74,27 @@ type Measurement struct {
 // pre-split random source, so any worker may execute any job without
 // affecting results.
 //
-// The pool schedules jobs in cell batches (Config.Batch): consecutive
-// jobs sharing a non-empty Cell run sequentially on one worker, whose
-// Arena — a pooled core.Runner plus a per-cell reusable adversary — they
-// share through RunArena. Because every job still owns its pre-split
-// source and results are observed in index order, batching is invisible
-// in the output: artifacts are byte-identical for every batch size and
-// worker count.
+// The pool schedules jobs in cell batches: consecutive jobs sharing a
+// non-empty Cell run sequentially on one worker, whose Arena — a pooled
+// core.Runner plus a per-cell reusable adversary — they share. Because
+// every job still owns its pre-split source and results are observed in
+// index order, batching is invisible in the output: artifacts are
+// byte-identical for every worker count.
 type Job struct {
 	Index int         // position in compile order; doubles as the result slot
 	Cell  string      // aggregation cell (set by Spec.Compile; "" for ad-hoc jobs)
 	Src   *rng.Source // private generator, pre-split at compile time
-	// Run executes the job on a fresh engine — the reference per-trial
-	// path, used when RunArena is absent or Config.NoReuse is set.
-	Run func(ctx context.Context, src *rng.Source) ([]Measurement, error)
-	// RunArena, when non-nil, is preferred by the pool: it receives the
-	// worker's Arena and must produce results identical to Run's for the
-	// same source (the batched pipeline's byte-identity tests pin this
-	// for every compiled spec).
-	RunArena func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
+	// Run executes the job from src on the worker's Arena.
+	Run func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
 }
 
-// ReusableAdversary is the reuse contract of the batched pipeline: an
-// adversary whose per-n scratch (tree buffers, bitset rows) persists
+// ReusableAdversary is the adversary contract of the campaign pipeline:
+// an adversary whose per-n scratch (tree buffers, bitset rows) persists
 // across the trials of a cell. Reset rebinds it to a fresh trial's
 // random source; after Reset it must behave exactly as a freshly
-// constructed adversary would — same draws, same trees — so that batched
-// and per-trial execution stay byte-identical. The adversary package's
-// Reusable* types implement it.
+// constructed adversary would — same draws, same trees — so artifacts do
+// not depend on which trials shared it. The adversary package's stock
+// adversaries implement it.
 type ReusableAdversary interface {
 	core.Adversary
 	// Reset prepares the adversary to drive a fresh run from src (which
@@ -111,7 +105,7 @@ type ReusableAdversary interface {
 // Arena is the reusable execution state one worker owns for its whole
 // lifetime: a pooled core.Runner (engine + per-run scratch, Reset per
 // trial instead of reallocated) and the current cell's reusable
-// adversary. Job closures receive it through RunArena.
+// adversary. Job closures receive it through Run.
 type Arena struct {
 	// Runner is the worker's pooled trial driver.
 	Runner *core.Runner
@@ -151,20 +145,6 @@ type JobResult struct {
 type Config struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Batch caps how many consecutive same-cell jobs are scheduled as one
-	// unit on one worker. 0 (the default) batches whole cells — a cell's
-	// trials run sequentially against the worker's pooled Arena; 1
-	// recovers the pre-batching one-trial-per-job granularity. Results
-	// are identical for every value (the determinism contract is
-	// per-trial); the knob trades scheduling overhead against available
-	// parallelism on grids with few cells. Jobs with an empty Cell are
-	// never batched together.
-	Batch int
-	// NoReuse disables the pooled arenas: every job runs its plain Run
-	// closure on a fresh engine, recovering the seed per-trial pipeline
-	// exactly. Results are identical either way — the knob exists for
-	// differential testing and bisection, not tuning.
-	NoReuse bool
 	// Progress, when non-nil, is called after every completed job with the
 	// number of jobs finished so far and the total. Calls are serialized
 	// and done is nondecreasing. Jobs reused from Completed count toward
@@ -198,9 +178,7 @@ type Config struct {
 	// engine version) can never change artifact bytes, only wall-clock
 	// time; see internal/cluster's trust note. Checkpoints and the
 	// cell cache compose unchanged: only cells they don't already cover
-	// are distributed. Batch is ignored in remote mode (the scheduling
-	// unit is the whole cell); ignored by Run, which has no cell
-	// structure.
+	// are distributed. Ignored by Run, which has no cell structure.
 	Remote Remote
 }
 
@@ -216,11 +194,11 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 		return results, ctx.Err()
 	}
 
-	batches := sliceBatches(jobs, cfg.Batch)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	batches := sliceBatches(jobs, len(jobs)-reused, workers)
 	if workers > len(batches) {
 		workers = len(batches)
 	}
@@ -250,7 +228,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 						// Drain without running so the feeder never blocks.
 						continue
 					}
-					ms, err := execJob(ctx, jobs[idx], arena, cfg.NoReuse)
+					ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 					results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
 					countJob(err)
 					if cfg.Progress != nil || cfg.OnResult != nil {
@@ -323,25 +301,17 @@ func initResults(jobs []Job, completed map[int]JobResult) ([]JobResult, int) {
 	return results, reused
 }
 
-// execJob runs one job on the worker's arena, preferring the pooled
-// RunArena closure unless noReuse forces the reference per-trial path.
-// Shared by the local pool and the remote path's local fallback so the
-// dispatch rule cannot drift.
-func execJob(ctx context.Context, job Job, arena *Arena, noReuse bool) ([]Measurement, error) {
-	if job.RunArena != nil && (!noReuse || job.Run == nil) {
-		return job.RunArena(ctx, job.Src, arena)
-	}
-	return job.Run(ctx, job.Src)
-}
-
 // batch is one scheduling unit: the half-open job-index range [lo, hi).
 type batch struct{ lo, hi int }
 
 // sliceBatches partitions the job list into scheduling units: maximal
-// runs of consecutive jobs sharing a non-empty Cell, capped at size (<= 0
-// means uncapped, i.e. whole cells). Jobs without a cell are singleton
-// batches, preserving the per-trial granularity of ad-hoc job lists.
-func sliceBatches(jobs []Job, size int) []batch {
+// runs of consecutive jobs sharing a non-empty Cell, capped at
+// ⌈pending/workers⌉ jobs so the pending work spreads over the whole pool
+// (with as many equal cells as workers, every unit is a whole cell). Jobs
+// without a cell are singleton batches, preserving the per-trial
+// granularity of ad-hoc job lists.
+func sliceBatches(jobs []Job, pending, workers int) []batch {
+	size := (pending + workers - 1) / workers // 0 (uncapped) when nothing is pending
 	batches := make([]batch, 0, len(jobs))
 	for lo := 0; lo < len(jobs); {
 		hi := lo + 1

@@ -162,7 +162,7 @@ func TestCompileEmptyGrid(t *testing.T) {
 }
 
 func constJob(i int, cell string, v float64) Job {
-	return Job{Index: i, Run: func(context.Context, *rng.Source) ([]Measurement, error) {
+	return Job{Index: i, Run: func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
 		return []Measurement{{Cell: cell, Value: v}}, nil
 	}}
 }
@@ -229,7 +229,7 @@ func TestCancellation(t *testing.T) {
 	started := make(chan struct{}, len(jobs))
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{Index: i, Run: func(ctx context.Context, _ *rng.Source) ([]Measurement, error) {
+		jobs[i] = Job{Index: i, Run: func(ctx context.Context, _ *rng.Source, _ *Arena) ([]Measurement, error) {
 			started <- struct{}{}
 			if i < quick {
 				return []Measurement{{Cell: "done", Value: float64(i)}}, nil

@@ -55,7 +55,7 @@ func TestExactCrossValidation(t *testing.T) {
 				Index: len(jobs),
 				Cell:  cell,
 				Src:   rng.New(uint64(len(jobs) + 1)), // unused by Replay; jobs own a source by contract
-				Run: func(_ context.Context, _ *rng.Source) ([]Measurement, error) {
+				Run: func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
 					rounds, err := core.BroadcastTime(n, rep)
 					if err != nil {
 						return nil, err

@@ -21,7 +21,7 @@ var (
 	mRunsActive = metrics.Default.Gauge("campaign_runs_active",
 		"Spec campaigns currently in flight.")
 	mBatchTrials = metrics.Default.Histogram("campaign_batch_trials",
-		"Trials per scheduled batch (whole cells unless Config.Batch caps them).",
+		"Trials per scheduled batch (whole cells, or an even share of the pending trials when cells are fewer than workers).",
 		metrics.ExpBuckets(1, 2, 12))
 	mCheckpointRecords = metrics.Default.Counter("campaign_checkpoint_records_total",
 		"Completed-job records appended to checkpoint files.")

@@ -336,7 +336,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 							break
 						}
 						idx := plan.JobIdx[ti]
-						ms, err := execJob(ctx, jobs[idx], arena, cfg.NoReuse)
+						ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 						rs = append(rs, JobResult{Index: idx, Measurements: ms, Err: err})
 					}
 				}

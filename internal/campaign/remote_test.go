@@ -165,8 +165,8 @@ func outcomeJSON(t *testing.T, out *Outcome) string {
 
 // TestRunSpecRemoteByteIdentity pins the core contract of the remote
 // path: for every split of cells between the "remote" executor and the
-// local pool — all remote, all local, interleaved — and with NoReuse on
-// or off, the artifact is byte-identical to the plain local pipeline.
+// local pool — all remote, all local, interleaved — the artifact is
+// byte-identical to the plain local pipeline.
 func TestRunSpecRemoteByteIdentity(t *testing.T) {
 	spec := remoteTestSpec()
 	want, err := RunSpec(context.Background(), spec, Config{Workers: 2})
@@ -181,19 +181,17 @@ func TestRunSpecRemoteByteIdentity(t *testing.T) {
 		"interleaved": func(i int, _ CellJob) bool { return i%2 == 0 },
 	}
 	for name, takes := range splits {
-		for _, noReuse := range []bool{false, true} {
-			out, err := RunSpec(context.Background(), spec, Config{
-				Workers: 2, Remote: &fakeRemote{takes: takes}, NoReuse: noReuse,
-			})
-			if err != nil {
-				t.Fatalf("%s noReuse=%v: %v", name, noReuse, err)
-			}
-			if got := outcomeJSON(t, out); got != wantJSON {
-				t.Errorf("%s noReuse=%v: artifact differs from local run:\n%s\nvs\n%s", name, noReuse, got, wantJSON)
-			}
-			if out.Completed != out.Jobs || out.Failed != 0 {
-				t.Errorf("%s noReuse=%v: completed %d/%d, failed %d", name, noReuse, out.Completed, out.Jobs, out.Failed)
-			}
+		out, err := RunSpec(context.Background(), spec, Config{
+			Workers: 2, Remote: &fakeRemote{takes: takes},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := outcomeJSON(t, out); got != wantJSON {
+			t.Errorf("%s: artifact differs from local run:\n%s\nvs\n%s", name, got, wantJSON)
+		}
+		if out.Completed != out.Jobs || out.Failed != 0 {
+			t.Errorf("%s: completed %d/%d, failed %d", name, out.Completed, out.Jobs, out.Failed)
 		}
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"sync"
 
 	"dyntreecast/internal/adversary"
-	"dyntreecast/internal/core"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -111,17 +109,14 @@ type Family struct {
 	// at n; infeasible grid points are skipped, mirroring the k > n−1
 	// rule of the restricted families.
 	Feasible func(n int, p Params) bool
-	// New constructs the adversary for one job. It must return an error
-	// — never panic — on bad inputs: this path is reachable from user
-	// input through campaign specs and campaignd requests.
-	New func(n int, p Params, src *rng.Source) (core.Adversary, error)
-	// NewReusable, when non-nil, constructs the family's reusable form
-	// for the batched pipeline (DESIGN.md §3d): one adversary per
-	// (worker, cell) whose per-n scratch persists across trials, rebound
-	// to each trial's source via Reset. It must be behaviorally identical
-	// to New — same draws from the same source, same trees — since the
-	// byte-identity of batched artifacts rests on it. Families without it
-	// are simply constructed per trial by the batched pipeline too.
+	// NewReusable constructs the family's adversary (required). The pool
+	// builds one per (worker, cell) and Resets it to each trial's
+	// pre-split source (DESIGN.md §3d), so per-n scratch persists across
+	// trials; after Reset it must behave exactly as a freshly built one —
+	// same draws, same trees — because artifacts must not depend on which
+	// trials shared an adversary. It must return an error — never panic —
+	// on bad inputs: this path is reachable from user input through
+	// campaign specs and campaignd requests.
 	NewReusable func(n int, p Params) (ReusableAdversary, error)
 }
 
@@ -180,7 +175,7 @@ func register(f Family, builtin bool) error {
 	if f.Portfolio && !builtin {
 		return fmt.Errorf("campaign: family %q: Portfolio is reserved for the built-in experiment suite", f.Name)
 	}
-	if f.New == nil {
+	if f.NewReusable == nil {
 		return fmt.Errorf("campaign: adversary family %q has no constructor", f.Name)
 	}
 	// Copy the params so normalizing defaults below never mutates the
@@ -616,95 +611,61 @@ func builtinFamilies() []Family {
 	return []Family{
 		{
 			Name: "static-path", Doc: "the identity path every round (t* = n-1)", Portfolio: true,
-			New: func(n int, _ Params, _ *rng.Source) (core.Adversary, error) {
-				return adversary.Static{Tree: tree.IdentityPath(n)}, nil
-			},
 			NewReusable: func(n int, _ Params) (ReusableAdversary, error) {
 				// The whole schedule is one tree, built once per cell.
-				return adversary.Stateless{Adversary: adversary.Static{Tree: tree.IdentityPath(n)}}, nil
+				return adversary.Static{Tree: tree.IdentityPath(n)}, nil
 			},
 		},
 		{
 			Name: "random-tree", Doc: "an independent uniformly random rooted tree per round", Portfolio: true,
-			New: func(_ int, _ Params, src *rng.Source) (core.Adversary, error) {
-				return adversary.Random{Src: src}, nil
-			},
 			NewReusable: func(int, Params) (ReusableAdversary, error) {
-				return adversary.NewReusableRandom(), nil
+				return adversary.NewRandom(nil), nil
 			},
 		},
 		{
 			Name: "random-path", Doc: "an independent uniformly random directed path per round", Portfolio: true,
-			New: func(_ int, _ Params, src *rng.Source) (core.Adversary, error) {
-				return adversary.RandomPath{Src: src}, nil
-			},
 			NewReusable: func(int, Params) (ReusableAdversary, error) {
-				return adversary.NewReusableRandomPath(), nil
+				return adversary.NewRandomPath(nil), nil
 			},
 		},
 		{
 			Name: "ascending-path", Doc: "adaptive: the path ordered by ascending heard-set size", Portfolio: true,
-			New: func(int, Params, *rng.Source) (core.Adversary, error) {
-				return adversary.AscendingPath{}, nil
-			},
 			NewReusable: func(int, Params) (ReusableAdversary, error) {
-				return adversary.NewReusableAscendingPath(), nil
+				return &adversary.AscendingPath{}, nil
 			},
 		},
 		{
 			Name: "block-leader", Doc: "adaptive: freeze the most-spread value each round", Portfolio: true,
-			New: func(int, Params, *rng.Source) (core.Adversary, error) {
-				return adversary.BlockLeader{}, nil
-			},
 			NewReusable: func(int, Params) (ReusableAdversary, error) {
-				return adversary.NewReusableBlockLeader(), nil
+				return &adversary.BlockLeader{}, nil
 			},
 		},
 		{
 			Name: "min-gain", Doc: "adaptive: minimum-knowledge-gain arborescence (Chu-Liu/Edmonds)", Portfolio: true,
-			New: func(int, Params, *rng.Source) (core.Adversary, error) {
-				return adversary.MinGain{}, nil
-			},
 			NewReusable: func(int, Params) (ReusableAdversary, error) {
-				// Source-free and stateless; reuse saves only the per-trial
-				// construction (its arborescence scratch is per round).
-				return adversary.Stateless{Adversary: adversary.MinGain{}}, nil
+				return adversary.MinGain{}, nil
 			},
 		},
 		{
 			Name: "k-leaves", Doc: "random trees with exactly k leaves (Zeiner et al., O(kn))",
 			Params: kParam("exact number of leaves"), Check: checkKAtLeastOne, Feasible: kFeasible,
-			New: func(n int, p Params, src *rng.Source) (core.Adversary, error) {
-				k := p.Int("k")
-				if k < 1 || k > n-1 {
-					return nil, fmt.Errorf("k-leaves: k=%d infeasible at n=%d (want 1 <= k <= n-1)", k, n)
-				}
-				return adversary.KLeaves{K: k, Src: src}, nil
-			},
 			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 				k := p.Int("k")
 				if k < 1 || k > n-1 {
 					return nil, fmt.Errorf("k-leaves: k=%d infeasible at n=%d (want 1 <= k <= n-1)", k, n)
 				}
-				return adversary.NewReusableKLeaves(k), nil
+				return adversary.NewKLeaves(k, nil), nil
 			},
 		},
 		{
 			Name: "k-inner", Doc: "random trees with exactly k inner nodes (Zeiner et al., O(kn))",
 			Params: kParam("exact number of inner nodes"), Check: checkKAtLeastOne, Feasible: kFeasible,
-			New: func(n int, p Params, src *rng.Source) (core.Adversary, error) {
-				k := p.Int("k")
-				if k < 1 || k > n-1 {
-					return nil, fmt.Errorf("k-inner: k=%d infeasible at n=%d (want 1 <= k <= n-1)", k, n)
-				}
-				return adversary.KInner{K: k, Src: src}, nil
-			},
 			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 				k := p.Int("k")
 				if k < 1 || k > n-1 {
 					return nil, fmt.Errorf("k-inner: k=%d infeasible at n=%d (want 1 <= k <= n-1)", k, n)
 				}
-				return adversary.NewReusableKInner(k), nil
+				return adversary.NewKInner(k, nil), nil
 			},
 		},
 		{
@@ -728,16 +689,6 @@ func builtinFamilies() []Family {
 			Feasible: func(n int, p Params) bool {
 				return p.Int("prefix") <= n
 			},
-			New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-				switchAt, prefix := p.Int("switch_at"), p.Int("prefix")
-				if switchAt == 0 {
-					switchAt = n / 2
-				}
-				if prefix == 0 {
-					prefix = n / 2
-				}
-				return adversary.NewTwoPhasePath(n, switchAt, prefix)
-			},
 			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 				switchAt, prefix := p.Int("switch_at"), p.Int("prefix")
 				if switchAt == 0 {
@@ -746,7 +697,11 @@ func builtinFamilies() []Family {
 				if prefix == 0 {
 					prefix = n / 2
 				}
-				return adversary.NewReusableTwoPhasePath(n, switchAt, prefix)
+				a, err := adversary.NewTwoPhasePath(n, switchAt, prefix)
+				if err != nil {
+					return nil, err
+				}
+				return a, nil
 			},
 		},
 		{
@@ -760,16 +715,7 @@ func builtinFamilies() []Family {
 				}
 				return nil
 			},
-			New: func(_ int, p Params, _ *rng.Source) (core.Adversary, error) {
-				a, err := adversary.NewStaleAscendingPath(p.Int("lag"))
-				if err != nil {
-					return nil, err
-				}
-				return a, nil
-			},
 			NewReusable: func(_ int, p Params) (ReusableAdversary, error) {
-				// The stale adversary's ring is self-cleaning across trials,
-				// so the allocating form is its own reusable form.
 				a, err := adversary.NewStaleAscendingPath(p.Int("lag"))
 				if err != nil {
 					return nil, err

@@ -184,19 +184,19 @@ func TestTwoPhasePathScenarioRuns(t *testing.T) {
 // families.
 func TestRegisterValidation(t *testing.T) {
 	cases := map[string]Family{
-		"empty name":      {New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+		"empty name":      {NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"nil constructor": {Name: "t-nil-ctor"},
-		"dup family":      {Name: "random-tree", New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+		"dup family":      {Name: "random-tree", NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"unnamed param": {Name: "t-unnamed", Params: []Param{{Kind: IntParam}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"dup param": {Name: "t-dup-param", Params: []Param{{Name: "a", Kind: IntParam}, {Name: "a", Kind: IntParam}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"bad kind": {Name: "t-bad-kind", Params: []Param{{Name: "a", Kind: "complex"}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"bad default": {Name: "t-bad-default", Params: []Param{{Name: "a", Kind: IntParam, Default: "x"}},
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 		"portfolio reserved": {Name: "t-portfolio", Portfolio: true,
-			New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil }},
+			NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil }},
 	}
 	for name, f := range cases {
 		if err := Register(f); err == nil {
@@ -212,7 +212,7 @@ func TestRegisterNormalizesDefaults(t *testing.T) {
 	params := []Param{{Name: "d", Kind: IntParam, Default: 7}}
 	if err := Register(Family{
 		Name: "t-defaults", Params: params,
-		New: func(int, Params, *rng.Source) (core.Adversary, error) { return nil, nil },
+		NewReusable: func(int, Params) (ReusableAdversary, error) { return nil, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestTwoPhaseInfeasiblePrefixSkipped(t *testing.T) {
 func TestConstructionErrorNamesCell(t *testing.T) {
 	if err := Register(Family{
 		Name: "t-always-errors",
-		New: func(int, Params, *rng.Source) (core.Adversary, error) {
+		NewReusable: func(int, Params) (ReusableAdversary, error) {
 			return nil, context.DeadlineExceeded // any error will do
 		},
 	}); err != nil {
@@ -286,15 +286,15 @@ func TestCustomFamilyFullServiceLayer(t *testing.T) {
 		Name:   "t-lazy-star",
 		Doc:    "star rooted at (round+offset) mod n",
 		Params: []Param{{Name: "offset", Kind: IntParam, Default: 0, Doc: "root offset"}},
-		New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
+		NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 			offset := p.Int("offset")
-			return adversary.Func(func(v core.View) *tree.Tree {
+			return sourceFree{adversary.Func(func(v core.View) *tree.Tree {
 				s, err := tree.Star(v.N(), (v.Round()+offset)%v.N())
 				if err != nil {
 					return nil
 				}
 				return s
-			}), nil
+			})}, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestStringParamSeparatorsRejected(t *testing.T) {
 		Name:   "string-param-probe",
 		Doc:    "test-only family with a string param",
 		Params: []Param{{Name: "mode", Kind: StringParam, Default: "greedy", Doc: "probe"}},
-		New: func(n int, _ Params, _ *rng.Source) (core.Adversary, error) {
+		NewReusable: func(n int, _ Params) (ReusableAdversary, error) {
 			return adversary.Static{Tree: tree.IdentityPath(n)}, nil
 		},
 	}); err != nil {
@@ -442,7 +442,7 @@ func TestStringParamSeparatorsRejected(t *testing.T) {
 		Name:   "string-param-bad-default",
 		Doc:    "test-only family with a corrupt default",
 		Params: []Param{{Name: "mode", Kind: StringParam, Default: "a/b", Doc: "probe"}},
-		New: func(n int, _ Params, _ *rng.Source) (core.Adversary, error) {
+		NewReusable: func(n int, _ Params) (ReusableAdversary, error) {
 			return adversary.Static{Tree: tree.IdentityPath(n)}, nil
 		},
 	})
@@ -540,14 +540,14 @@ func TestFloatBoolParamCanonicalization(t *testing.T) {
 			{Name: "rate", Kind: FloatParam, Default: 1.0, Doc: "a float knob"},
 			{Name: "flip", Kind: BoolParam, Default: false, Doc: "a bool knob"},
 		},
-		New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree {
+		NewReusable: func(n int, p Params) (ReusableAdversary, error) {
+			return sourceFree{adversary.Func(func(v core.View) *tree.Tree {
 				s, err := tree.Star(v.N(), 0)
 				if err != nil {
 					return nil
 				}
 				return s
-			}), nil
+			})}, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -588,3 +588,9 @@ func TestFloatBoolParamCanonicalization(t *testing.T) {
 		}
 	}
 }
+
+// sourceFree makes a source-free test adversary reusable: Reset is a
+// no-op because it derives every tree from the view.
+type sourceFree struct{ core.Adversary }
+
+func (sourceFree) Reset(*rng.Source) {}

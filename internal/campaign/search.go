@@ -6,10 +6,8 @@ import (
 	"sync/atomic"
 
 	"dyntreecast/internal/adversary"
-	"dyntreecast/internal/core"
 	"dyntreecast/internal/gamesolver"
 	"dyntreecast/internal/metrics"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -28,8 +26,7 @@ import (
 // Within one process the schedule itself is memoized per (family, n,
 // params): a cell's worth of trials — or a whole grid column re-visited
 // by a later campaign in the same process — runs the search exactly once,
-// whether jobs go through the per-trial path (New) or the batched path
-// (NewReusable).
+// however many workers build the cell's adversary.
 
 // mScheduleSearches counts actual search executions (memo misses); the
 // ratio to jobs completed shows how much the schedule memo saves.
@@ -155,19 +152,12 @@ func searchFamilies() []Family {
 				_, err := beamConfigFromParams(p)
 				return err
 			},
-			New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-				sched, err := beamSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Replay{Trees: sched}, nil
-			},
 			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 				sched, err := beamSchedule(n, p)
 				if err != nil {
 					return nil, err
 				}
-				return adversary.Stateless{Adversary: adversary.Replay{Trees: sched}}, nil
+				return adversary.Replay{Trees: sched}, nil
 			},
 		},
 		{
@@ -189,19 +179,12 @@ func searchFamilies() []Family {
 			Feasible: func(n int, _ Params) bool {
 				return n >= 1 && n <= gamesolver.HardMaxN
 			},
-			New: func(n int, p Params, _ *rng.Source) (core.Adversary, error) {
-				sched, err := deepLineSchedule(n, p)
-				if err != nil {
-					return nil, err
-				}
-				return adversary.Replay{Trees: sched}, nil
-			},
 			NewReusable: func(n int, p Params) (ReusableAdversary, error) {
 				sched, err := deepLineSchedule(n, p)
 				if err != nil {
 					return nil, err
 				}
-				return adversary.Stateless{Adversary: adversary.Replay{Trees: sched}}, nil
+				return adversary.Replay{Trees: sched}, nil
 			},
 		},
 	}

@@ -202,21 +202,12 @@ func TestSearchScheduleEdgeCases(t *testing.T) {
 
 	badBeam := Params{"width": float64(0), "random_moves": float64(4),
 		"random_trees": float64(4), "max_rounds": float64(0), "seed": float64(1)}
-	if _, err := beam.New(4, badBeam, nil); err == nil {
-		t.Error("beam-search.New accepted width=0")
-	}
 	if _, err := beam.NewReusable(4, badBeam); err == nil {
 		t.Error("beam-search.NewReusable accepted width=0")
 	}
 	badDeep := Params{"budget": float64(-1), "width": float64(2)}
-	if _, err := deep.New(4, badDeep, nil); err == nil {
-		t.Error("deepest-line.New accepted budget=-1")
-	}
 	if _, err := deep.NewReusable(4, badDeep); err == nil {
 		t.Error("deepest-line.NewReusable accepted budget=-1")
-	}
-	if _, err := stale.New(4, Params{"lag": float64(-1)}, nil); err == nil {
-		t.Error("stale-ascending.New accepted lag=-1")
 	}
 	if _, err := stale.NewReusable(4, Params{"lag": float64(-1)}); err == nil {
 		t.Error("stale-ascending.NewReusable accepted lag=-1")
@@ -230,7 +221,7 @@ func TestSearchScheduleEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s defaults: %v", name, err)
 		}
-		adv, err := f.New(1, Params(grounds[0].Params), nil)
+		adv, err := f.NewReusable(1, Params(grounds[0].Params))
 		if err != nil {
 			t.Fatalf("%s at n=1: %v", name, err)
 		}

@@ -12,7 +12,6 @@ import (
 
 	"dyntreecast/internal/campaign/cache"
 	"dyntreecast/internal/core"
-	"dyntreecast/internal/gossip"
 	"dyntreecast/internal/rng"
 )
 
@@ -315,15 +314,10 @@ func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
 			cell := g.cellName(n)
 			plan := cellPlan{Cell: cell, Key: canon.cellCacheKey(g, n), Scenario: g.scenario(), N: n}
 			root := rng.New(canon.cellSeed(g, n))
+			run := runCell(g, n, cell, goal, canon.MaxRounds)
 			for trial := 0; trial < canon.Trials; trial++ {
 				plan.JobIdx = append(plan.JobIdx, len(jobs))
-				jobs = append(jobs, Job{
-					Index:    len(jobs),
-					Cell:     cell,
-					Src:      root.Split(),
-					Run:      runGridPoint(g, n, cell, goal, canon.MaxRounds),
-					RunArena: runGridPointPooled(g, n, cell, goal, canon.MaxRounds),
-				})
+				jobs = append(jobs, Job{Index: len(jobs), Cell: cell, Src: root.Split(), Run: run})
 			}
 			cells = append(cells, plan)
 		}
@@ -334,50 +328,14 @@ func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
 	return jobs, cells, canon, nil
 }
 
-// runGridPoint is the reference per-trial closure: a fresh adversary and
-// a fresh engine per job, exactly the pre-batching pipeline. The pool
-// uses it when Config.NoReuse is set; runGridPointPooled must match it
-// result for result — both derive their engine configuration from the
-// same (goal, maxRounds) pair so the two paths cannot drift.
-func runGridPoint(g groundScenario, n int, cell string, goal core.Goal, maxRounds int) func(context.Context, *rng.Source) ([]Measurement, error) {
-	var opts []core.Option
-	if maxRounds > 0 {
-		opts = append(opts, core.WithMaxRounds(maxRounds))
-	}
-	return func(_ context.Context, src *rng.Source) ([]Measurement, error) {
-		adv, err := g.family.New(n, g.params, src)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", cell, err)
-		}
-		var rounds int
-		if goal == core.Gossip {
-			rounds, err = gossip.Time(n, adv, opts...)
-		} else {
-			rounds, err = core.BroadcastTime(n, adv, opts...)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", cell, err)
-		}
-		return []Measurement{{Cell: cell, Value: float64(rounds)}}, nil
-	}
-}
-
-// runGridPointPooled is the batched-pipeline closure: the trial runs on
-// the worker's pooled Runner, and families declaring NewReusable share
-// one adversary (with its per-n scratch) across the cell's trials via
-// Arena.AdversaryFor + Reset. Round counts and error strings match
-// runGridPoint exactly, so the two paths emit byte-identical artifacts.
-func runGridPointPooled(g groundScenario, n int, cell string, goal core.Goal, maxRounds int) func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
+// runCell returns the trial closure every job of one grid cell shares:
+// the trial runs on the worker's pooled Runner against the cell's
+// adversary, built by the family's NewReusable once per (worker, cell)
+// and Reset to the trial's source (Arena.AdversaryFor).
+func runCell(g groundScenario, n int, cell string, goal core.Goal, maxRounds int) func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
+	build := func() (ReusableAdversary, error) { return g.family.NewReusable(n, g.params) }
 	return func(_ context.Context, src *rng.Source, a *Arena) ([]Measurement, error) {
-		var adv core.Adversary
-		var err error
-		if g.family.NewReusable != nil {
-			adv, err = a.AdversaryFor(cell, src, func() (ReusableAdversary, error) {
-				return g.family.NewReusable(n, g.params)
-			})
-		} else {
-			adv, err = g.family.New(n, g.params, src)
-		}
+		adv, err := a.AdversaryFor(cell, src, build)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %s: %w", cell, err)
 		}

@@ -66,8 +66,8 @@ func TestRunnerMatchesRun(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 16, 33} {
 		for trial := 0; trial < 4; trial++ {
 			seed := uint64(n*100 + trial)
-			want, err1 := core.BroadcastTime(n, adversary.Random{Src: rng.New(seed)})
-			got, err2 := r.BroadcastTime(n, adversary.Random{Src: rng.New(seed)})
+			want, err1 := core.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
+			got, err2 := r.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
 			if want != got || (err1 == nil) != (err2 == nil) {
 				t.Fatalf("n=%d trial %d: Runner %d (%v), Run %d (%v)", n, trial, got, err2, want, err1)
 			}
@@ -76,8 +76,8 @@ func TestRunnerMatchesRun(t *testing.T) {
 	// Gossip goal, interleaved with broadcast runs on the same Runner.
 	for _, n := range []int{2, 8} {
 		seed := uint64(n)
-		want, err1 := core.Run(n, adversary.Random{Src: rng.New(seed)}, core.Gossip)
-		got, err2 := r.GossipTime(n, adversary.Random{Src: rng.New(seed)})
+		want, err1 := core.Run(n, adversary.NewRandom(rng.New(seed)), core.Gossip)
+		got, err2 := r.GossipTime(n, adversary.NewRandom(rng.New(seed)))
 		if err1 != nil || err2 != nil || want.Rounds != got {
 			t.Fatalf("gossip n=%d: Runner %d (%v), Run %d (%v)", n, got, err2, want.Rounds, err1)
 		}
@@ -117,14 +117,14 @@ func TestRunnerBothTimesMatchesGossip(t *testing.T) {
 	r := core.NewRunner()
 	for _, n := range []int{2, 6, 16} {
 		seed := uint64(n) * 3
-		b, g, err := r.BothTimes(n, adversary.Random{Src: rng.New(seed)})
+		b, g, err := r.BothTimes(n, adversary.NewRandom(rng.New(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b < 0 || b > g {
 			t.Fatalf("n=%d: broadcast %d, gossip %d", n, b, g)
 		}
-		bAlone, err := core.BroadcastTime(n, adversary.Random{Src: rng.New(seed)})
+		bAlone, err := core.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
 		if err != nil || bAlone != b {
 			t.Fatalf("n=%d: BothTimes broadcast %d, BroadcastTime %d (%v)", n, b, bAlone, err)
 		}
@@ -137,7 +137,7 @@ func TestRunnerBothTimesMatchesGossip(t *testing.T) {
 func TestRunnerTrialAllocs(t *testing.T) {
 	const n = 64
 	r := core.NewRunner()
-	adv := adversary.NewReusableRandom()
+	adv := adversary.NewRandom(nil)
 	src := rng.New(1)
 	warm := func() {
 		adv.Reset(src)

@@ -10,8 +10,6 @@ import (
 	"dyntreecast/internal/bounds"
 	"dyntreecast/internal/campaign"
 	"dyntreecast/internal/campaign/cache"
-	"dyntreecast/internal/core"
-	"dyntreecast/internal/rng"
 	"dyntreecast/internal/tree"
 )
 
@@ -172,14 +170,8 @@ func registerKnobs(t *testing.T) {
 			{Name: "flip", Kind: campaign.BoolParam, Default: false, Doc: "bool knob"},
 			{Name: "k", Kind: campaign.IntParam, Doc: "required int knob"},
 		},
-		New: func(n int, p campaign.Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree {
-				s, err := tree.Star(v.N(), 0)
-				if err != nil {
-					return nil
-				}
-				return s
-			}), nil
+		NewReusable: func(n int, p campaign.Params) (campaign.ReusableAdversary, error) {
+			return adversary.Static{Tree: mustStar(n)}, nil
 		},
 	})
 	if err != nil {
@@ -231,8 +223,8 @@ func TestRunRequiredStringParamUnseedable(t *testing.T) {
 	err := campaign.Register(campaign.Family{
 		Name:   "t-evolve-reqstr",
 		Params: []campaign.Param{{Name: "mode", Kind: campaign.StringParam, Doc: "required string"}},
-		New: func(n int, p campaign.Params, _ *rng.Source) (core.Adversary, error) {
-			return adversary.Func(func(v core.View) *tree.Tree { return nil }), nil
+		NewReusable: func(n int, p campaign.Params) (campaign.ReusableAdversary, error) {
+			return adversary.Static{}, nil
 		},
 	})
 	if err != nil {
@@ -261,4 +253,12 @@ func TestRunCancelledReturnsPartialReport(t *testing.T) {
 	if len(report.Best) != 0 && report.Winner.Adversary != "" {
 		t.Errorf("cancelled-before-start run claims a winner: %+v", report)
 	}
+}
+
+func mustStar(n int) *tree.Tree {
+	s, err := tree.Star(n, 0)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

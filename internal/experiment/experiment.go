@@ -126,20 +126,12 @@ type Option func(*config)
 type config struct {
 	ctx     context.Context
 	workers int
-	batch   int
 }
 
 // WithWorkers sets the campaign worker-pool size for the experiment's
 // trial loops. 0 (the default) selects GOMAXPROCS; 1 recovers the old
 // serial harness.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithBatch sets the campaign batch size (consecutive same-cell jobs per
-// scheduling unit; 0 = whole cells). The experiments' hand-built job
-// lists carry no cell affinity, so this only matters for harnesses that
-// route compiled specs through the experiment options (cmd/sweep -exp
-// grid); results are identical for every value.
-func WithBatch(b int) Option { return func(c *config) { c.batch = b } }
 
 // WithContext makes the experiment cancellable: trial loops stop promptly
 // once ctx is done and the experiment returns ctx's error.
@@ -157,7 +149,7 @@ func buildConfig(opts []Option) config {
 // results, failing on cancellation or on the first job error (in job
 // order, so the error is deterministic too).
 func runJobs(c config, jobs []campaign.Job) ([]campaign.JobResult, error) {
-	results, err := campaign.Run(c.ctx, jobs, campaign.Config{Workers: c.workers, Batch: c.batch})
+	results, err := campaign.Run(c.ctx, jobs, campaign.Config{Workers: c.workers})
 	if err != nil {
 		return nil, err
 	}
@@ -188,15 +180,16 @@ func Portfolio() []NamedAdversary {
 		if !f.Portfolio {
 			continue
 		}
-		build := f.New
+		build := f.NewReusable
 		name := f.Name
 		out = append(out, NamedAdversary{Name: name, New: func(n int, src *rng.Source) core.Adversary {
-			adv, err := build(n, nil, src)
+			adv, err := build(n, nil)
 			if err != nil {
 				// Portfolio families take no params; construction cannot
 				// fail for them. A failure here is a registry bug.
 				panic(fmt.Sprintf("experiment: portfolio adversary %s: %v", name, err))
 			}
+			adv.Reset(src)
 			return adv
 		}})
 	}
@@ -221,7 +214,7 @@ func BestMeasured(n int, seed uint64, opts ...Option) (int, string, error) {
 		jobs = append(jobs, campaign.Job{
 			Index: len(jobs),
 			Src:   root.Split(),
-			RunArena: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
+			Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
 				t, err := a.Runner.BroadcastTime(n, na.New(n, src))
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s at n=%d: %w", na.Name, n, err)
@@ -235,7 +228,7 @@ func BestMeasured(n int, seed uint64, opts ...Option) (int, string, error) {
 	// the root source.
 	jobs = append(jobs, campaign.Job{
 		Index: len(jobs),
-		Run: func(context.Context, *rng.Source) ([]campaign.Measurement, error) {
+		Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
 			_, beamRounds := adversary.BeamSearch(n, adversary.BeamConfig{
 				Width: 16, RandomMoves: 6, RandomTrees: 8, Seed: seed,
 			})
@@ -246,7 +239,7 @@ func BestMeasured(n int, seed uint64, opts ...Option) (int, string, error) {
 	if n <= gamesolver.MaxN {
 		jobs = append(jobs, campaign.Job{
 			Index: len(jobs),
-			Run: func(context.Context, *rng.Source) ([]campaign.Measurement, error) {
+			Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
 				v := -1
 				if s, err := gamesolver.New(n); err == nil {
 					v = s.Value()
@@ -261,7 +254,7 @@ func BestMeasured(n int, seed uint64, opts ...Option) (int, string, error) {
 	if n == 6 {
 		jobs = append(jobs, campaign.Job{
 			Index: len(jobs),
-			Run: func(context.Context, *rng.Source) ([]campaign.Measurement, error) {
+			Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
 				v := -1
 				if line, _, err := gamesolver.DeepestLine(n, 6000, 4); err == nil {
 					if t, err := core.BroadcastTime(n, adversary.Replay{Trees: line}); err == nil {
@@ -378,7 +371,7 @@ func Restricted(ns, ks []int, trials int, seed uint64, opts ...Option) (*Table, 
 		jobs = append(jobs, campaign.Job{
 			Index: len(jobs),
 			Src:   root.Split(),
-			RunArena: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
+			Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
 				rounds, err := a.Runner.BroadcastTime(n, build(src))
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s n=%d k=%d: %w", kind, n, k, err)
@@ -395,10 +388,10 @@ func Restricted(ns, ks []int, trials int, seed uint64, opts ...Option) (*Table, 
 			for trial := 0; trial < trials; trial++ {
 				k := k
 				addJob(n, k, "k-leaves", func(src *rng.Source) core.Adversary {
-					return adversary.KLeaves{K: k, Src: src}
+					return adversary.NewKLeaves(k, src)
 				})
 				addJob(n, k, "k-inner", func(src *rng.Source) core.Adversary {
-					return adversary.KInner{K: k, Src: src}
+					return adversary.NewKInner(k, src)
 				})
 			}
 		}
@@ -445,7 +438,7 @@ func Nonsplit(ns []int, trials int, seed uint64, opts ...Option) (*Table, error)
 			jobs = append(jobs, campaign.Job{
 				Index: len(jobs),
 				Src:   root.Split(),
-				Run: func(_ context.Context, src *rng.Source) ([]campaign.Measurement, error) {
+				Run: func(_ context.Context, src *rng.Source, _ *campaign.Arena) ([]campaign.Measurement, error) {
 					trees := make([]*tree.Tree, n-1)
 					for i := range trees {
 						trees[i] = tree.Random(n, src)
@@ -524,8 +517,8 @@ func GossipVsBroadcast(ns []int, trials int, seed uint64, opts ...Option) (*Tabl
 			jobs = append(jobs, campaign.Job{
 				Index: len(jobs),
 				Src:   root.Split(),
-				RunArena: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
-					b, g, err := a.Runner.BothTimes(n, adversary.Random{Src: src})
+				Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
+					b, g, err := a.Runner.BothTimes(n, adversary.NewRandom(src))
 					if err != nil {
 						return nil, fmt.Errorf("experiment: gossip n=%d: %w", n, err)
 					}

@@ -32,7 +32,7 @@ func TestStallerBlocksGossipForever(t *testing.T) {
 func TestGossipCompletesUnderRandomAdversary(t *testing.T) {
 	src := rng.New(3)
 	for _, n := range []int{2, 6, 16} {
-		g, err := Time(n, adversary.Random{Src: src})
+		g, err := Time(n, adversary.NewRandom(src))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -53,7 +53,7 @@ func TestBothTimesOrdering(t *testing.T) {
 	// gossip round, and both are positive for n >= 2.
 	src := rng.New(7)
 	for trial := 0; trial < 10; trial++ {
-		b, g, err := BothTimes(8, adversary.Random{Src: src})
+		b, g, err := BothTimes(8, adversary.NewRandom(src))
 		if err != nil {
 			t.Fatal(err)
 		}

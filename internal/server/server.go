@@ -53,11 +53,6 @@ import (
 type Options struct {
 	// Workers is the pool size per campaign; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Batch caps how many trials of one grid cell run as a single
-	// scheduling unit on one worker (campaign.Config.Batch): 0 batches
-	// whole cells against pooled engine arenas, 1 recovers per-trial
-	// scheduling. Artifacts are byte-identical for every value.
-	Batch int
 	// Cache, when non-nil, is shared by every campaign the server runs.
 	Cache cache.Cache
 	// CheckpointDir, when non-empty, makes every campaign checkpoint to
@@ -286,7 +281,6 @@ func (s *Server) execute(r *run) {
 	defer s.wg.Done()
 	cfg := campaign.Config{
 		Workers:  s.opts.Workers,
-		Batch:    s.opts.Batch,
 		Cache:    s.opts.Cache,
 		OnResult: r.onResult,
 	}

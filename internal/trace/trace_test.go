@@ -49,7 +49,7 @@ func TestRecorderCapturesRounds(t *testing.T) {
 func TestVerifyGrowthHoldsOnRealRuns(t *testing.T) {
 	src := rng.New(5)
 	for trial := 0; trial < 10; trial++ {
-		rec := runWithRecorder(t, 9, adversary.Random{Src: src})
+		rec := runWithRecorder(t, 9, adversary.NewRandom(src))
 		if bad := VerifyGrowth(rec.Records()); bad != nil {
 			t.Fatalf("growth lemma violated at %+v", *bad)
 		}

@@ -2,7 +2,8 @@
 # benchdiff.sh — guard the packed-engine speedups against regression.
 #
 # Runs the zero-alloc hot-path benchmarks (BenchmarkEngineStep,
-# BenchmarkMatrixEngineStep, BenchmarkTrialHotPath/batched; n=64..1024)
+# BenchmarkMatrixEngineStep at n=64..1024; BenchmarkTrialHotPath/batched,
+# one n=64 row per built-in family plus random-tree at n=256 and 1024)
 # plus the exact-solver matrix (BenchmarkSolver/n5/{full,parallel};
 # DESIGN.md §3i) and compares the best observed ns/op of each against
 # the committed baseline in scripts/bench-baseline.txt. The check fails
@@ -11,7 +12,8 @@
 #   - a benchmark whose baseline records 0 allocs/op allocates — the
 #     0 allocs/op contract of the batched pipeline (DESIGN.md §3d, §3g)
 #     is absolute; benchmarks with a non-zero allocs baseline (the
-#     solver builds its tables per run) are exempt, or
+#     solver builds its tables per run; min-gain allocates its
+#     arborescence scratch per round) are exempt, or
 #   - any benchmark runs more than BENCHDIFF_TOLERANCE percent slower
 #     than its baseline ns/op (default 10).
 #
