@@ -36,14 +36,15 @@
 // Interrupting the run (SIGINT/SIGTERM) cancels the pool promptly; the
 // aggregate of the jobs that did finish is still written.
 //
-// Two flags wire in the campaign service layer (DESIGN.md §3b):
-// -checkpoint FILE records completed jobs as they land, and a rerun with
-// the same spec and checkpoint resumes where the interrupted run stopped
-// — the final artifact is byte-identical to an uninterrupted run.
-// -cache DIR keeps a content-addressed store of finished grid cells, so
-// re-running overlapping grids recomputes only the new cells:
+// -cache DIR wires in the campaign service layer's one persistence path
+// (DESIGN.md §3b): a content-addressed store of finished grid cells,
+// each written as soon as its last trial lands. Re-running overlapping
+// grids recomputes only the new cells, and rerunning an interrupted (or
+// killed) campaign with the same -cache resumes it — only the missing
+// cells execute, and the final artifact is byte-identical to an
+// uninterrupted run:
 //
-//	campaign -spec sweep.json -checkpoint sweep.ckpt -cache ~/.dyntreecast-cells -format json
+//	campaign -spec sweep.json -cache ~/.dyntreecast-cells -format json
 //
 // -join ADDR turns the run into a one-shot cluster coordinator: the
 // /cluster/lease and /cluster/results endpoints come up on ADDR and
@@ -106,8 +107,7 @@ func run(args []string) error {
 		outPath  = fs.String("out", "", "write output to this file instead of stdout")
 		progress = fs.Bool("progress", false, "force the live progress line even when stderr is not a terminal")
 		quiet    = fs.Bool("quiet", false, "suppress the live progress line on stderr")
-		ckptPath = fs.String("checkpoint", "", "checkpoint completed jobs to this file; an existing matching checkpoint is resumed")
-		cacheDir = fs.String("cache", "", "content-addressed cell cache directory; overlapping grids reuse finished cells")
+		cacheDir = fs.String("cache", "", "content-addressed cell cache directory; overlapping grids and reruns of an interrupted campaign reuse finished cells")
 		joinAddr = fs.String("join", "", "accept cluster workers on this address for the run (campaignd -worker -join)")
 		leaseTTL = fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "cell lease lifetime before re-issue (with -join)")
 		shardTr  = fs.Int("shard-trials", 0, "lease cells in shards of at most this many trials, so one big cell spreads across workers (with -join; 0 = whole cells; artifacts are identical for every value)")
@@ -195,21 +195,6 @@ func run(args []string) error {
 		cfg.Remote = coord
 		fmt.Fprintf(os.Stderr, "campaign: accepting cluster workers on %s\n", ln.Addr())
 	}
-	if *ckptPath != "" {
-		cf, err := campaign.OpenCheckpointFile(*ckptPath, spec)
-		if err != nil {
-			return err
-		}
-		if n := len(cf.Completed); n > 0 {
-			fmt.Fprintf(os.Stderr, "campaign: resuming %d completed jobs from %s\n", n, *ckptPath)
-		}
-		cfg = cf.Wire(cfg)
-		defer func() {
-			if err := cf.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign:", err)
-			}
-		}()
-	}
 	outcome, runErr := campaign.RunSpec(ctx, spec, cfg)
 	if outcome == nil {
 		return runErr
@@ -218,9 +203,8 @@ func run(args []string) error {
 		// Cancelled: report, but still write the partial aggregate.
 		fmt.Fprintln(os.Stderr, "campaign:", runErr)
 	}
-	if *cacheDir != "" || *ckptPath != "" {
-		fmt.Fprintf(os.Stderr, "campaign: %d jobs executed, %d from cache, %d from checkpoint\n",
-			outcome.Executed, outcome.CacheHits, outcome.Reused)
+	if *cacheDir != "" {
+		fmt.Fprintf(os.Stderr, "campaign: %d jobs executed, %d from cache\n", outcome.Executed, outcome.CacheHits)
 	}
 
 	w := io.Writer(os.Stdout)

@@ -119,60 +119,6 @@ func TestRunBadSpecFile(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlag: a completed checkpointed run leaves a full
-// checkpoint, and a rerun against it reuses every job and writes a
-// byte-identical artifact.
-func TestCheckpointFlag(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	out1 := filepath.Join(dir, "a1.json")
-	out2 := filepath.Join(dir, "a2.json")
-	args := []string{"-adversaries", "random-tree", "-ns", "8,16", "-trials", "3",
-		"-seed", "5", "-format", "json", "-checkpoint", ckpt}
-
-	if err := run(append(args, "-out", out1)); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := campaign.LoadCheckpointFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Results) != 6 {
-		t.Errorf("checkpoint holds %d jobs, want 6", len(cp.Results))
-	}
-
-	if err := run(append(args, "-out", out2)); err != nil {
-		t.Fatal(err)
-	}
-	a1, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a1, a2) {
-		t.Error("resumed artifact differs from original")
-	}
-}
-
-// TestCheckpointFlagRejectsForeignSpec: pointing -checkpoint at another
-// spec's file must fail loudly instead of corrupting it.
-func TestCheckpointFlagRejectsForeignSpec(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "run.ckpt")
-	if err := run([]string{"-adversaries", "random-tree", "-ns", "8", "-trials", "2",
-		"-checkpoint", ckpt, "-out", filepath.Join(dir, "a.json"), "-format", "json"}); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-adversaries", "random-tree", "-ns", "8", "-trials", "2",
-		"-seed", "99", "-checkpoint", ckpt, "-out", filepath.Join(dir, "b.json"), "-format", "json"})
-	if err == nil || !strings.Contains(err.Error(), "different spec") {
-		t.Errorf("foreign checkpoint accepted: %v", err)
-	}
-}
-
 // TestCacheFlag: a cache-assisted run of a grown grid produces the same
 // artifact as a cache-free run.
 func TestCacheFlag(t *testing.T) {

@@ -4,16 +4,16 @@
 // runner (see internal/server for the endpoint contract and README.md
 // "Serving campaigns" for curl examples).
 //
-//	campaignd -addr :8080 -checkpoint-dir ./ckpt -cache ./cellcache
+//	campaignd -addr :8080 -cache ./cellcache
 //
 // Campaign results are pure functions of their specs, so the daemon is
-// free to cache cells across submissions (-cache) and to checkpoint
-// in-flight campaigns (-checkpoint-dir). On SIGINT/SIGTERM it stops
-// accepting work, drains open requests, cancels running campaigns after
-// flushing their checkpoints, and exits; resubmitting an interrupted
-// spec — to this daemon or a later one sharing the checkpoint directory —
-// resumes where it stopped and produces the same artifact an
-// uninterrupted run would have.
+// free to cache cells across submissions (-cache): every cell is stored
+// as soon as its last trial lands. On SIGINT/SIGTERM it stops accepting
+// work, drains open requests, cancels running campaigns, and exits;
+// resubmitting an interrupted spec — to this daemon or a later one
+// sharing the cache directory — serves the completed cells from the
+// cache, runs the rest, and produces the same artifact an uninterrupted
+// run would have.
 //
 // With -cluster the daemon becomes a cluster coordinator: the
 // /cluster/lease and /cluster/results endpoints come up and every
@@ -76,22 +76,21 @@ func main() {
 // options is the parsed flag set, split out so tests can cover parsing
 // without binding sockets.
 type options struct {
-	addr          string
-	workers       int
-	checkpointDir string
-	cacheDir      string
-	storeDir      string
-	storeBudget   int64
-	storeGCEvery  time.Duration
-	storePin      string
-	drainTimeout  time.Duration
-	cluster       bool
-	leaseTTL      time.Duration
-	shardTrials   int
-	worker        bool
-	join          string
-	poll          time.Duration
-	metricsAddr   string
+	addr         string
+	workers      int
+	cacheDir     string
+	storeDir     string
+	storeBudget  int64
+	storeGCEvery time.Duration
+	storePin     string
+	drainTimeout time.Duration
+	cluster      bool
+	leaseTTL     time.Duration
+	shardTrials  int
+	worker       bool
+	join         string
+	poll         time.Duration
+	metricsAddr  string
 }
 
 func parseFlags(args []string) (options, error) {
@@ -99,8 +98,7 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.workers, "workers", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
-	fs.StringVar(&o.checkpointDir, "checkpoint-dir", "", "checkpoint campaigns to this directory (enables resume)")
-	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed cell cache directory shared across campaigns")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed cell cache directory shared across campaigns (and daemon restarts: an interrupted campaign resubmitted over it resumes)")
 	fs.StringVar(&o.storeDir, "store", "", "results warehouse directory: campaigns cache cells into it, finished runs are ingested, and the /results query endpoints come up (subsumes -cache)")
 	fs.Int64Var(&o.storeBudget, "store-budget", 0, "cell-byte retention budget for -store; the LRU GC keeps the warehouse under this many bytes (0 = unlimited, no GC)")
 	fs.DurationVar(&o.storeGCEvery, "store-gc-interval", 5*time.Minute, "how often the -store-budget GC runs (with -store-budget)")
@@ -158,7 +156,7 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.worker {
 		// A worker is only a lease executor: silently dropping daemon
-		// flags (cache, checkpoints, serving) would let a user believe
+		// flags (cache, warehouse, serving) would let a user believe
 		// they are active.
 		workerFlags := map[string]bool{"worker": true, "join": true, "poll": true, "metrics": true}
 		var stray []string
@@ -174,18 +172,13 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// build turns parsed options into a campaign server (creating cache,
-// checkpoint, and warehouse directories as needed). The returned store
-// is non-nil exactly when -store is set; run starts its retention GC.
+// build turns parsed options into a campaign server (creating cache and
+// warehouse directories as needed). The returned store is non-nil
+// exactly when -store is set; run starts its retention GC.
 func build(o options, logf func(string, ...any)) (*server.Server, *store.Store, error) {
-	opts := server.Options{Workers: o.workers, CheckpointDir: o.checkpointDir, Logf: logf}
+	opts := server.Options{Workers: o.workers, Logf: logf}
 	if o.cluster {
 		opts.Cluster = cluster.New(cluster.Options{LeaseTTL: o.leaseTTL, ShardTrials: o.shardTrials, Logf: logf})
-	}
-	if o.checkpointDir != "" {
-		if err := os.MkdirAll(o.checkpointDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("creating -checkpoint-dir: %w", err)
-		}
 	}
 	if o.cacheDir != "" {
 		c, err := cache.NewDir(o.cacheDir)
@@ -292,8 +285,9 @@ func run(args []string) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	// Stop the campaign engine first: cancelling campaigns flushes their
-	// checkpoints and terminates open /stream responses, which lets the
-	// HTTP drain below complete instead of waiting on live streams.
+	// completed cells to the cache and terminates open /stream responses,
+	// which lets the HTTP drain below complete instead of waiting on live
+	// streams.
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return err
 	}

@@ -12,12 +12,11 @@ import (
 
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-workers", "3",
-		"-checkpoint-dir", "ck", "-cache", "cc", "-drain-timeout", "5s"})
+		"-cache", "cc", "-drain-timeout", "5s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != "127.0.0.1:0" || o.workers != 3 || o.checkpointDir != "ck" ||
-		o.cacheDir != "cc" || o.drainTimeout != 5*time.Second {
+	if o.addr != "127.0.0.1:0" || o.workers != 3 || o.cacheDir != "cc" || o.drainTimeout != 5*time.Second {
 		t.Errorf("parsed options wrong: %+v", o)
 	}
 }
@@ -27,7 +26,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":8080" || o.workers != 0 || o.checkpointDir != "" || o.cacheDir != "" {
+	if o.addr != ":8080" || o.workers != 0 || o.cacheDir != "" {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 }
@@ -46,10 +45,7 @@ func TestParseFlagsRejects(t *testing.T) {
 
 func TestBuildCreatesDirs(t *testing.T) {
 	dir := t.TempDir()
-	o := options{
-		checkpointDir: filepath.Join(dir, "ckpt"),
-		cacheDir:      filepath.Join(dir, "cells"),
-	}
+	o := options{cacheDir: filepath.Join(dir, "cells")}
 	srv, st, err := build(o, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +56,8 @@ func TestBuildCreatesDirs(t *testing.T) {
 	if st != nil {
 		t.Fatal("store built without -store")
 	}
-	for _, d := range []string{o.checkpointDir, o.cacheDir} {
-		if st, err := os.Stat(d); err != nil || !st.IsDir() {
-			t.Errorf("%s not created: %v", d, err)
-		}
+	if st, err := os.Stat(o.cacheDir); err != nil || !st.IsDir() {
+		t.Errorf("%s not created: %v", o.cacheDir, err)
 	}
 }
 
@@ -110,7 +104,7 @@ func TestParseFlagsWorkerRejectsDaemonFlags(t *testing.T) {
 		{"-worker", "-join", "http://c:8080", "-cache", "cells"},
 		{"-worker", "-join", "http://c:8080", "-cluster"},
 		{"-worker", "-join", "http://c:8080", "-addr", ":9"},
-		{"-worker", "-join", "http://c:8080", "-checkpoint-dir", "ck"},
+		{"-worker", "-join", "http://c:8080", "-workers", "2"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) succeeded; daemon flags must be rejected in worker mode", args)

@@ -28,8 +28,6 @@ package dyntreecast
 
 import (
 	"context"
-	"fmt"
-	"os"
 
 	"dyntreecast/internal/adversary"
 	"dyntreecast/internal/bounds"
@@ -318,7 +316,7 @@ type Scenario = campaign.Scenario
 // optional validity/feasibility contract, and a constructor. Register
 // one with RegisterAdversary to make it addressable from Campaign specs,
 // cmd/campaign and cmd/sweep, and campaignd — including the cell cache,
-// checkpoint/resume, and streaming paths.
+// resume, and streaming paths.
 type AdversaryFamily = campaign.Family
 
 // AdversaryParam declares one parameter of an AdversaryFamily: JSON key,
@@ -344,8 +342,8 @@ const (
 )
 
 // RegisterAdversary adds a custom parameterized adversary family to the
-// open registry, plugging it into campaigns, caching, checkpointing, and
-// campaignd without forking internals:
+// open registry, plugging it into campaigns, caching, and campaignd
+// without forking internals:
 //
 //	err := dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
 //	    Name:   "my-adversary",
@@ -376,7 +374,8 @@ type CampaignCell = campaign.CellStats
 // cells (adversary × n × k grid points). Results are keyed by everything
 // that determines them — the spec seed, cell coordinates, goal, round
 // budget, trial count, and engine version — so a hit is always
-// byte-identical to a recomputation.
+// byte-identical to a recomputation. An implementation's Put must not
+// retain its data argument once it returns.
 type CampaignCacheStore = cache.Cache
 
 // NewMemoryCampaignCache returns an in-process cell cache, useful for
@@ -388,28 +387,21 @@ func NewMemoryCampaignCache() CampaignCacheStore { return cache.NewMemory() }
 // concurrent use, including by several campaigns at once.
 func NewDirCampaignCache(dir string) (CampaignCacheStore, error) { return cache.NewDir(dir) }
 
-// CampaignOption tunes RunCampaign and ResumeCampaign.
+// CampaignOption tunes RunCampaign.
 type CampaignOption func(*campaignSettings)
 
 type campaignSettings struct {
-	cfg            campaign.Config
-	checkpointPath string
+	cfg campaign.Config
 }
 
 // CampaignWithCache serves cells already present in store instead of
-// recomputing them, and stores freshly computed cells. Overlapping grids
-// recompute only their new cells; artifacts are unchanged either way.
+// recomputing them, and stores each freshly computed cell as soon as its
+// last trial lands. Overlapping grids recompute only their new cells,
+// and an interrupted (cancelled or killed) campaign resumes by running
+// it again with the same store: only the missing cells execute.
+// Artifacts are unchanged either way.
 func CampaignWithCache(store CampaignCacheStore) CampaignOption {
 	return func(s *campaignSettings) { s.cfg.Cache = store }
-}
-
-// CampaignWithCheckpoint records completed jobs to the JSONL file at path
-// as they finish. If path already holds a checkpoint of the same spec,
-// the run resumes it: completed jobs are reused and only the remainder is
-// executed, with the final artifact byte-identical to an uninterrupted
-// run. A checkpoint of a different spec is an error.
-func CampaignWithCheckpoint(path string) CampaignOption {
-	return func(s *campaignSettings) { s.checkpointPath = path }
 }
 
 // CampaignWithProgress reports (done, total) after every completed job;
@@ -449,9 +441,9 @@ func NewShardedClusterCoordinator(shardTrials int) *ClusterCoordinator {
 // executing, and whichever side finishes a unit first supplies its
 // (byte-identical) results. Unleased and abandoned units always fall
 // back to local workers, so the campaign completes even if every worker
-// dies. Composes unchanged with CampaignWithCache and
-// CampaignWithCheckpoint — only cells they don't already cover are
-// distributed.
+// dies. Composes unchanged with CampaignWithCache — only cells the
+// cache doesn't already hold are distributed, and remotely computed
+// cells are stored like local ones.
 func CampaignWithCluster(c *ClusterCoordinator) CampaignOption {
 	return func(s *campaignSettings) { s.cfg.Remote = c }
 }
@@ -465,54 +457,22 @@ func RunClusterWorker(ctx context.Context, url string) error {
 	return cluster.RunWorker(ctx, url, cluster.WorkerOptions{})
 }
 
-func runCampaign(ctx context.Context, spec Campaign, workers int, opts []CampaignOption) (*CampaignOutcome, error) {
-	s := campaignSettings{cfg: campaign.Config{Workers: workers}}
-	for _, opt := range opts {
-		opt(&s)
-	}
-	if s.checkpointPath == "" {
-		return campaign.RunSpec(ctx, spec, s.cfg)
-	}
-	cf, err := campaign.OpenCheckpointFile(s.checkpointPath, spec)
-	if err != nil {
-		return nil, err
-	}
-	outcome, runErr := campaign.RunSpec(ctx, spec, cf.Wire(s.cfg))
-	if err := cf.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	return outcome, runErr
-}
-
 // RunCampaign compiles spec into per-trial jobs with deterministically
 // pre-split random sources and executes them on a worker pool (workers
 // <= 0 selects GOMAXPROCS). The outcome is bit-identical for any worker
 // count — and, because each grid cell's random streams are derived from
 // the seed and the cell's own coordinates alone, identical cells of
-// different campaigns agree too, which is what makes the cell cache and
-// checkpoint options sound. Cancel ctx to stop early; the partial
-// outcome is still returned.
+// different campaigns agree too, which is what makes the cell cache
+// sound. Cancel ctx to stop early; the partial outcome is still
+// returned, and with CampaignWithCache every cell that completed is
+// already stored, so rerunning the campaign over the same store resumes
+// it to a byte-identical artifact.
 func RunCampaign(ctx context.Context, spec Campaign, workers int, opts ...CampaignOption) (*CampaignOutcome, error) {
-	return runCampaign(ctx, spec, workers, opts)
-}
-
-// ResumeCampaign continues an interrupted campaign from the checkpoint
-// file at path (written by CampaignWithCheckpoint, cmd/campaign
-// -checkpoint, or campaignd's graceful shutdown). The checkpoint must
-// belong to spec; completed jobs are reused, the rest are executed, new
-// results are appended to the checkpoint, and the outcome — including
-// its JSON artifact — is byte-identical to an uninterrupted run.
-// Outcome.Reused reports how many jobs the checkpoint supplied.
-func ResumeCampaign(ctx context.Context, spec Campaign, path string, workers int, opts ...CampaignOption) (*CampaignOutcome, error) {
-	// Resuming requires an existing checkpoint; the open below parses and
-	// validates it exactly once.
-	if st, err := os.Stat(path); err != nil {
-		return nil, fmt.Errorf("dyntreecast: no checkpoint to resume: %w", err)
-	} else if st.Size() == 0 {
-		return nil, fmt.Errorf("dyntreecast: checkpoint %s is empty", path)
+	s := campaignSettings{cfg: campaign.Config{Workers: workers}}
+	for _, opt := range opts {
+		opt(&s)
 	}
-	opts = append(opts, CampaignWithCheckpoint(path))
-	return runCampaign(ctx, spec, workers, opts)
+	return campaign.RunSpec(ctx, spec, s.cfg)
 }
 
 // CampaignAdversaries lists the adversary family names a Campaign may

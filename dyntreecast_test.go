@@ -334,14 +334,6 @@ func TestRunCampaignCacheOption(t *testing.T) {
 	}
 }
 
-func TestResumeCampaignRequiresCheckpoint(t *testing.T) {
-	spec := dyntreecast.Campaign{Adversaries: []string{"random-tree"}, Ns: []int{8}, Trials: 2, Seed: 1}
-	missing := filepath.Join(t.TempDir(), "none.ckpt")
-	if _, err := dyntreecast.ResumeCampaign(context.Background(), spec, missing, 1); err == nil {
-		t.Error("ResumeCampaign succeeded without a checkpoint")
-	}
-}
-
 // stridingStar is the custom adversary of the acceptance test below: the
 // star rooted at (round·stride) mod n. Implemented entirely against the
 // public facade, as downstream code would.
@@ -360,8 +352,8 @@ func (s stridingStar) Next(v dyntreecast.View) *dyntreecast.Tree {
 
 // TestRegisterAdversaryFullStack is the scenario-API acceptance pass: a
 // custom parameterized family registered through the public
-// RegisterAdversary runs through a full campaign with cache and
-// checkpoint, and round-trips through the campaignd HTTP service — where
+// RegisterAdversary runs through a full campaign with the cell cache
+// (cold, then rerun from it), and round-trips through the campaignd HTTP service — where
 // a legacy-form submission of a built-in grid serves an artifact
 // byte-identical to its scenario-form equivalent.
 func TestRegisterAdversaryFullStack(t *testing.T) {
@@ -401,10 +393,8 @@ func TestRegisterAdversaryFullStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(dir, "acceptance.ckpt")
 
-	first, err := dyntreecast.RunCampaign(ctx, spec, 2,
-		dyntreecast.CampaignWithCache(cacheStore), dyntreecast.CampaignWithCheckpoint(ckpt))
+	first, err := dyntreecast.RunCampaign(ctx, spec, 2, dyntreecast.CampaignWithCache(cacheStore))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +407,13 @@ func TestRegisterAdversaryFullStack(t *testing.T) {
 		}
 	}
 
-	// Resume from the completed checkpoint: every job reused, same cells.
-	resumed, err := dyntreecast.ResumeCampaign(ctx, spec, ckpt, 1, dyntreecast.CampaignWithCache(cacheStore))
+	// Rerun over the same cache: every job served from it, same cells.
+	resumed, err := dyntreecast.RunCampaign(ctx, spec, 1, dyntreecast.CampaignWithCache(cacheStore))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Reused != resumed.Jobs {
-		t.Errorf("resume reused %d/%d jobs", resumed.Reused, resumed.Jobs)
+	if resumed.CacheHits != resumed.Jobs || resumed.Executed != 0 {
+		t.Errorf("rerun hits/executed = %d/%d, want %d/0", resumed.CacheHits, resumed.Executed, resumed.Jobs)
 	}
 	if !reflect.DeepEqual(first.Cells, resumed.Cells) {
 		t.Errorf("resumed cells differ:\n%+v\nvs\n%+v", first.Cells, resumed.Cells)

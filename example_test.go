@@ -1,10 +1,10 @@
 package dyntreecast_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"dyntreecast"
 )
@@ -67,40 +67,59 @@ func ExampleRunCampaign() {
 	// static-path/n=16 mean=15
 }
 
-// Checkpoint a campaign, then resume it: the checkpointed jobs are
-// reused, not recomputed, and the artifact is byte-identical to the
-// original run's.
-func ExampleResumeCampaign() {
+// Interrupt a cache-backed campaign, then resume it by running it again
+// over the same cache: the cells the first run completed are served from
+// the cache, only the rest execute, and the artifact is byte-identical to
+// an uninterrupted run's.
+func ExampleCampaignWithCache() {
 	dir, err := os.MkdirTemp("", "dyntreecast-example")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	checkpoint := filepath.Join(dir, "sweep.ckpt")
+	cells, err := dyntreecast.NewDirCampaignCache(dir)
+	if err != nil {
+		panic(err)
+	}
 
 	spec := dyntreecast.Campaign{
 		Adversaries: []string{"static-path"},
-		Ns:          []int{8},
+		Ns:          []int{8, 16},
 		Trials:      4,
 		Seed:        1,
 	}
-	// First run, recording every completed job. (A killed run would leave
-	// a partial checkpoint; resuming completes the remainder.)
-	first, err := dyntreecast.RunCampaign(context.Background(), spec, 2,
-		dyntreecast.CampaignWithCheckpoint(checkpoint))
+	// First run on one worker, cancelled once its first cell (4 trials)
+	// is done. (A killed process leaves the cache in the same state.)
+	ctx, cancel := context.WithCancel(context.Background())
+	interrupted, _ := dyntreecast.RunCampaign(ctx, spec, 1, dyntreecast.CampaignWithCache(cells),
+		dyntreecast.CampaignWithProgress(func(done, _ int) {
+			if done == spec.Trials {
+				cancel()
+			}
+		}))
+	cancel()
+	resumed, err := dyntreecast.RunCampaign(context.Background(), spec, 2, dyntreecast.CampaignWithCache(cells))
 	if err != nil {
 		panic(err)
 	}
-	resumed, err := dyntreecast.ResumeCampaign(context.Background(), spec, checkpoint, 2)
+	uninterrupted, err := dyntreecast.RunCampaign(context.Background(), spec, 2)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("first run executed %d jobs; resume executed %d, reused %d\n",
-		first.Executed, resumed.Executed, resumed.Reused)
-	fmt.Printf("means agree: %v\n", first.Cells[0].Mean == resumed.Cells[0].Mean)
+	var a, b bytes.Buffer
+	if err := resumed.WriteJSON(&a); err != nil {
+		panic(err)
+	}
+	if err := uninterrupted.WriteJSON(&b); err != nil {
+		panic(err)
+	}
+	fmt.Printf("interrupted run completed %d of %d jobs\n", interrupted.Completed, interrupted.Jobs)
+	fmt.Printf("rerun executed %d jobs, %d from cache\n", resumed.Executed, resumed.CacheHits)
+	fmt.Printf("artifact identical: %v\n", bytes.Equal(a.Bytes(), b.Bytes()))
 	// Output:
-	// first run executed 4 jobs; resume executed 0, reused 4
-	// means agree: true
+	// interrupted run completed 4 of 8 jobs
+	// rerun executed 4 jobs, 4 from cache
+	// artifact identical: true
 }
 
 // FloodMin consensus decides the global minimum once gossip completes.
@@ -117,7 +136,7 @@ func ExampleFloodMin() {
 // Register a custom parameterized adversary family and sweep its
 // parameter as a scenario axis. The family becomes addressable from
 // campaign specs, cmd/campaign -scenario, and campaignd exactly like the
-// built-ins — cache, checkpoint, and resume included.
+// built-ins — cache and resume included.
 func ExampleRegisterAdversary() {
 	err := dyntreecast.RegisterAdversary(dyntreecast.AdversaryFamily{
 		Name: "example-star",

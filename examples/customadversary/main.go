@@ -5,7 +5,7 @@
 // a family — name, declared parameters with kinds and defaults, an
 // optional feasibility contract, and a constructor — and from that moment
 // scenarios naming it work everywhere a built-in would: campaign specs,
-// the cell cache, checkpoints, cmd/campaign -scenario flags, and
+// the cell cache (and resume from it), cmd/campaign -scenario flags, and
 // campaignd submissions. This example registers a "strided-path" family
 // (the drifting path that visits every step-th process) and sweeps its
 // stride parameter as a scenario axis.

@@ -70,9 +70,10 @@ func TestBatchedPipelineByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchedKillAndResumeByteIdentity extends the checkpoint guarantee
-// to the pooled pipeline: kill mid-run at one worker count, resume at
-// another, and the artifact still matches an uninterrupted run's bytes.
+// TestBatchedKillAndResumeByteIdentity extends the kill-and-resume
+// guarantee to the pooled pipeline: kill mid-run at one worker count,
+// rerun over the same cell cache at another, and the artifact still
+// matches an uninterrupted run's bytes.
 func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 	spec := batchSpec()
 	unint, err := RunSpec(context.Background(), spec, Config{Workers: 2})
@@ -83,48 +84,7 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 3, 16} {
 		for _, resumeWorkers := range []int{1, 16} {
-			// Phase 1: checkpoint into memory and cancel after a few
-			// results land.
-			var ckpt bytes.Buffer
-			jobs, err := spec.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cw, err := NewCheckpointWriter(&ckpt, spec, len(jobs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			seen := 0
-			_, runErr := RunSpec(ctx, spec, Config{
-				Workers: workers,
-				OnResult: func(r JobResult) {
-					cw.Record(r)
-					if seen++; seen == 7 {
-						cancel()
-					}
-				},
-			})
-			cancel()
-			if runErr == nil {
-				t.Fatalf("workers=%d: interrupted run reported no error", workers)
-			}
-			if err := cw.Err(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Phase 2: resume from the checkpoint at another worker count.
-			cp, err := LoadCheckpoint(&ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cp.Results) == 0 {
-				t.Fatalf("workers=%d: checkpoint recorded nothing", workers)
-			}
-			resumed, err := ResumeSpec(context.Background(), spec, cp, Config{Workers: resumeWorkers})
-			if err != nil {
-				t.Fatal(err)
-			}
+			resumed := interruptAndResume(t, spec, workers, resumeWorkers)
 			if got := artifactBytes(t, resumed); !bytes.Equal(got, want) {
 				t.Errorf("workers=%d resumeWorkers=%d: resumed artifact differs", workers, resumeWorkers)
 			}

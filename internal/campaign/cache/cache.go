@@ -27,7 +27,8 @@ import (
 // Cache stores opaque entries under content-derived keys. Get reports a
 // miss with ok == false and reserves errors for backend failures; Put
 // overwrites silently (entries are content-addressed, so overwriting can
-// only rewrite identical data).
+// only rewrite identical data) and must not retain data once it returns:
+// callers reuse the buffer.
 type Cache interface {
 	Get(key string) (data []byte, ok bool, err error)
 	Put(key string, data []byte) error

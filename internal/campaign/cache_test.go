@@ -3,7 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -34,6 +37,57 @@ func TestCacheWarmRunRecomputesNothing(t *testing.T) {
 	}
 	if !bytes.Equal(artifactBytes(t, cold), artifactBytes(t, warm)) {
 		t.Error("warm artifact differs from cold artifact")
+	}
+}
+
+// TestAppendCellEntryMatchesJSON pins the cell store's entry encoder to
+// json.Marshal of the cellEntry byte for byte — names that need escaping,
+// nil and empty measurement lists, and floats across both of json's
+// number forms — so stored entries keep their format.
+func TestAppendCellEntryMatchesJSON(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, 7, -3, 0.5, 1.0 / 3, 1e-6, 9.99e-7, 1.5e-9,
+		-2.5e-8, 1e20, 1e21, 1.234e300, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	r := rand.New(rand.NewSource(1))
+	for len(values) < 200 {
+		if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			values = append(values, f)
+		}
+	}
+	for _, cell := range []string{"random-tree/n=8", `a<b>&"c"\`, "ü\u2028\x01", string([]byte{0xff, 'x'})} {
+		var results []JobResult
+		for i, v := range values {
+			var ms []Measurement
+			switch i % 4 {
+			case 1:
+				ms = []Measurement{}
+			case 2:
+				ms = []Measurement{{Cell: cell, Value: v}}
+			case 3:
+				ms = []Measurement{{Cell: cell, Value: v}, {Cell: "other/" + cell, Value: -v}}
+			}
+			results = append(results, JobResult{Index: i, Measurements: ms})
+		}
+		idx := make([]int, len(results))
+		ent := cellEntry{Cell: cell, Trials: make([][]Measurement, len(results))}
+		for i := range results {
+			idx[i] = len(results) - 1 - i // any order: the entry follows idx
+			ent.Trials[i] = results[idx[i]].Measurements
+		}
+		want, err := json.Marshal(ent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendCellEntry([]byte("stale"), cell, results, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = got[len("stale"):]; !bytes.Equal(got, want) {
+			t.Errorf("cell %q: entry differs from json.Marshal:\n got %s\nwant %s", cell, got, want)
+		}
+	}
+	bad := []JobResult{{Measurements: []Measurement{{Cell: "c", Value: math.NaN()}}}}
+	if _, err := appendCellEntry(nil, "c", bad, []int{0}); err == nil {
+		t.Error("NaN measurement encoded without error")
 	}
 }
 

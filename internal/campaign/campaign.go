@@ -14,10 +14,10 @@
 // Scenarios name adversary families from an open registry (scenario.go,
 // DESIGN.md §3c): each family self-describes its parameters — names,
 // kinds, defaults, per-n feasibility — and Register lets downstream code
-// plug custom families into specs, caching, checkpointing, and the
-// campaignd daemon. The legacy adversaries/ks spec form is still accepted
-// and canonicalized into scenarios (Spec.Canonical), sharing identities
-// with the scenario spelling byte for byte.
+// plug custom families into specs, caching, and the campaignd daemon.
+// The legacy adversaries/ks spec form is still accepted and canonicalized
+// into scenarios (Spec.Canonical), sharing identities with the scenario
+// spelling byte for byte.
 //
 // The hard invariant of the package is bit-identical output: for a fixed
 // Spec (including its seed), the aggregated Outcome is the same regardless
@@ -36,11 +36,13 @@
 //     can reorder execution but never observation.
 //
 // On top of the runner sits the campaign service layer (DESIGN.md §3b):
-// checkpoint/resume (checkpoint.go) snapshots completed jobs to a JSONL
-// file and ResumeSpec continues an interrupted campaign to a byte-identical
-// artifact, and the content-addressed cell cache (Config.Cache, backed by
-// the cache subpackage) lets overlapping grids reuse previously computed
-// cells. Both are sound only because of the determinism contract above.
+// the content-addressed cell cache (Config.Cache, backed by the cache
+// subpackage) is the package's one persistence path. RunSpec stores every
+// fully successful cell as soon as its last trial lands, so overlapping
+// grids reuse previously computed cells and an interrupted campaign —
+// cancelled or killed outright — resumes by rerunning it over the same
+// cache, to a byte-identical artifact. Both are sound only because of the
+// determinism contract above.
 //
 // The experiment package routes its trial loops through Run, the
 // cmd/campaign binary drives RunSpec from a JSON spec, cmd/campaignd
@@ -63,7 +65,7 @@ import (
 // Measurement is one named scalar produced by a job. Jobs that observe
 // several quantities on a single run (e.g. broadcast and gossip completion
 // of the same schedule) emit one Measurement per quantity. The JSON form
-// is the unit of the checkpoint and cache formats.
+// is the unit of the cell cache's entries.
 type Measurement struct {
 	Cell  string  `json:"cell"`  // aggregation key; jobs sharing a cell are pooled
 	Value float64 `json:"value"` // the observed quantity (usually a round count)
@@ -147,27 +149,23 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, is called after every completed job with the
 	// number of jobs finished so far and the total. Calls are serialized
-	// and done is nondecreasing. Jobs reused from Completed count toward
-	// the initial done value but trigger no call.
+	// and done is nondecreasing. Jobs served from the cell cache count
+	// toward the initial done value but trigger no call.
 	Progress func(done, total int)
 	// OnResult, when non-nil, is called with every result produced by the
 	// pool, in completion order (not job-index order). Calls are
-	// serialized with each other and with Progress. Results reused from
-	// Completed or from the cache are not replayed — OnResult observes
-	// only fresh work, which is exactly what checkpointing and streaming
-	// need.
+	// serialized with each other and with Progress. Results served from
+	// the cache are not replayed — OnResult observes only fresh work,
+	// which is exactly what streaming needs.
 	OnResult func(JobResult)
-	// Completed maps job index → already-known result, typically loaded
-	// from a checkpoint. These jobs are not executed; their results are
-	// spliced into the result slice as-is (with Index and Skipped
-	// normalized), which preserves byte-identical aggregation because
-	// results are observed in index order regardless of provenance.
-	Completed map[int]JobResult
 	// Cache, when non-nil, is the content-addressed cell store consulted
 	// by RunSpec: a cell whose key (spec seed, adversary, n, k, goal,
 	// round budget, trial count, engine version) is present is not
-	// recomputed, and freshly computed cells are stored on completion.
-	// Ignored by Run, which has no cell structure.
+	// recomputed, and each freshly computed, fully successful cell is
+	// stored as soon as its last trial lands — so a cancelled or killed
+	// run leaves every completed cell behind, and rerunning it over the
+	// same cache executes only the rest. Ignored by Run, which has no
+	// cell structure.
 	Cache cache.Cache
 	// Remote, when non-nil, distributes whole grid cells to external
 	// executors (internal/cluster's Coordinator over HTTP) while the
@@ -176,9 +174,9 @@ type Config struct {
 	// results merge into the same job-indexed slice either way — so
 	// remote workers (including ones that die, stall, or speak the wrong
 	// engine version) can never change artifact bytes, only wall-clock
-	// time; see internal/cluster's trust note. Checkpoints and the
-	// cell cache compose unchanged: only cells they don't already cover
-	// are distributed. Ignored by Run, which has no cell structure.
+	// time; see internal/cluster's trust note. The cell cache composes
+	// unchanged: only cells it doesn't already hold are distributed.
+	// Ignored by Run, which has no cell structure.
 	Remote Remote
 }
 
@@ -189,16 +187,42 @@ type Config struct {
 // results for jobs that did complete are still returned and the rest are
 // marked Skipped.
 func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
-	results, reused := initResults(jobs, cfg.Completed)
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
+	results := newResults(len(jobs))
+	return results, runLocal(ctx, jobs, results, cfg, nil)
+}
 
+// newResults returns the slice every execution path fills: one Skipped
+// placeholder per job. RunSpec overwrites the jobs of cached cells
+// before execution; every job still Skipped is pending work.
+func newResults(n int) []JobResult {
+	results := make([]JobResult, n)
+	for i := range results {
+		results[i] = JobResult{Index: i, Skipped: true}
+	}
+	return results
+}
+
+// runLocal executes the pending (Skipped) jobs of results on the local
+// pool, in cell batches. Jobs already filled in — cached cells, which
+// always cover whole cells and hence whole batches — count as done from
+// the start and are not executed. landed, when non-nil, is called by the
+// worker that finished each batch [lo, hi), outside every lock; a batch
+// cut short by cancellation is not reported.
+func runLocal(ctx context.Context, jobs []Job, results []JobResult, cfg Config, landed func(lo, hi int)) error {
+	pending := 0
+	for _, r := range results {
+		if r.Skipped {
+			pending++
+		}
+	}
+	if pending == 0 {
+		return cancelled(ctx, results)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batches := sliceBatches(jobs, len(jobs)-reused, workers)
+	batches := sliceBatches(jobs, pending, workers)
 	if workers > len(batches) {
 		workers = len(batches)
 	}
@@ -206,7 +230,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex // serializes the progress + result callbacks
-		done    = reused
+		done    = len(jobs) - pending
 		batchCh = make(chan batch)
 	)
 	for w := 0; w < workers; w++ {
@@ -221,12 +245,9 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 				// batch's.
 				arena.Runner.MaxRounds = 0
 				for idx := b.lo; idx < b.hi; idx++ {
-					if !results[idx].Skipped {
-						continue // reused from cfg.Completed
-					}
 					if ctx.Err() != nil {
 						// Drain without running so the feeder never blocks.
-						continue
+						break
 					}
 					ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 					results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
@@ -243,20 +264,16 @@ func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 						mu.Unlock()
 					}
 				}
+				if landed != nil && !results[b.hi-1].Skipped {
+					landed(b.lo, b.hi)
+				}
 			}
 		}()
 	}
 feed:
 	for _, b := range batches {
-		pending := false
-		for idx := b.lo; idx < b.hi; idx++ {
-			if results[idx].Skipped {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			continue // fully reused from cfg.Completed; nothing to execute
+		if !results[b.lo].Skipped {
+			continue // a cached cell; nothing to execute
 		}
 		mBatchTrials.Observe(float64(b.hi - b.lo))
 		select {
@@ -267,38 +284,23 @@ feed:
 	}
 	close(batchCh)
 	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if results[i].Skipped {
-				results[i].Err = err
-			}
-		}
-		return results, fmt.Errorf("campaign: cancelled: %w", err)
-	}
-	return results, nil
+	return cancelled(ctx, results)
 }
 
-// initResults builds the result slice every execution path starts from:
-// one Skipped placeholder per job, with in-range completed results
-// spliced in (Index and Skipped normalized) and counted. Shared by Run
-// and runRemote so the reuse semantics cannot drift between the local
-// and distributed paths.
-func initResults(jobs []Job, completed map[int]JobResult) ([]JobResult, int) {
-	results := make([]JobResult, len(jobs))
+// cancelled finishes a cancelled execution: every job still Skipped gets
+// the context's error, and the run's error wraps it. It returns nil when
+// ctx is live.
+func cancelled(ctx context.Context, results []JobResult) error {
+	err := ctx.Err()
+	if err == nil {
+		return nil
+	}
 	for i := range results {
-		results[i] = JobResult{Index: i, Skipped: true}
-	}
-	reused := 0
-	for idx, r := range completed {
-		if idx < 0 || idx >= len(jobs) {
-			continue
+		if results[i].Skipped {
+			results[i].Err = err
 		}
-		r.Index, r.Skipped = idx, false
-		results[idx] = r
-		reused++
 	}
-	return results, reused
+	return fmt.Errorf("campaign: cancelled: %w", err)
 }
 
 // batch is one scheduling unit: the half-open job-index range [lo, hi).

@@ -13,8 +13,9 @@ import (
 // adversaries/ks form and the v2 scenario form: parsing and
 // canonicalization never panic; canonicalization is idempotent; the
 // canonical form survives a JSON round-trip unchanged; and every
-// spelling of a grid shares one SpecHash — the identity that checkpoint
-// validation, the cell cache, and the cluster handshake all key on.
+// spelling of a grid shares one SpecHash — the identity campaignd's
+// campaign ids key on, as the cell cache and the cluster handshake key on
+// the canonical cells.
 func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"adversaries":["random-tree"],"ns":[8],"trials":2,"seed":1}`))
 	f.Add([]byte(`{"version":1,"adversaries":["k-leaves"],"ks":[2,3],"ns":[8,16],"trials":4,"seed":7,"goal":"gossip"}`))
@@ -65,51 +66,6 @@ func FuzzSpecJSON(f *testing.F) {
 		// Every spelling shares one identity.
 		if SpecHash(spec) != SpecHash(canon) || SpecHash(canon) != SpecHash(backCanon) {
 			t.Fatalf("spec hash differs across equivalent spellings of: %s", data)
-		}
-	})
-}
-
-// FuzzCheckpointLoad fuzzes the checkpoint reader — the untrusted decode
-// path behind every resume (cmd/campaign -checkpoint, campaignd restart,
-// ResumeCampaign). Pinned property: arbitrary bytes — torn tails,
-// corrupt records, foreign headers — never panic; the loader either
-// errors or returns a checkpoint whose records are in range and
-// convertible to a Completed map, i.e. something a resume can consume
-// cleanly.
-func FuzzCheckpointLoad(f *testing.F) {
-	// A genuine checkpoint, then progressively damaged variants.
-	spec := Spec{Adversaries: []string{"random-tree"}, Ns: []int{8}, Trials: 2, Seed: 1}
-	var buf bytes.Buffer
-	if w, err := NewCheckpointWriter(&buf, spec, 2); err == nil {
-		w.Record(JobResult{Index: 0, Measurements: []Measurement{{Cell: "random-tree/n=8", Value: 7}}})
-		w.Record(JobResult{Index: 1, Measurements: []Measurement{{Cell: "random-tree/n=8", Value: 9}}})
-	}
-	full := buf.Bytes()
-	f.Add(full)
-	f.Add(full[:len(full)-7]) // torn trailing record
-	f.Add([]byte(`{"format":"dyntreecast-checkpoint/2","engine":"dyntreecast-engine/3","spec_hash":"x","jobs":2}` + "\n" + `{"index":5,"measurements":[]}` + "\n"))
-	f.Add([]byte(`{"format":"dyntreecast-checkpoint/1","spec_hash":"x","jobs":2}` + "\n"))
-	f.Add([]byte(`{"format":"dyntreecast-checkpoint/2","engine":"someone-else/9","spec_hash":"x"}` + "\n"))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{}`))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := LoadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return // rejected inputs only need to not panic
-		}
-		if cp == nil {
-			t.Fatal("LoadCheckpoint returned nil, nil")
-		}
-		for idx := range cp.Results {
-			if idx < 0 || (cp.Jobs > 0 && idx >= cp.Jobs) {
-				t.Fatalf("accepted checkpoint holds out-of-range index %d (jobs %d)", idx, cp.Jobs)
-			}
-		}
-		// The resume entry point must consume whatever the loader accepts.
-		if got := cp.Completed(); len(got) != len(cp.Results) {
-			t.Fatalf("Completed() lost records: %d of %d", len(got), len(cp.Results))
 		}
 	})
 }

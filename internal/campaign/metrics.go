@@ -23,8 +23,6 @@ var (
 	mBatchTrials = metrics.Default.Histogram("campaign_batch_trials",
 		"Trials per scheduled batch (whole cells, or an even share of the pending trials when cells are fewer than workers).",
 		metrics.ExpBuckets(1, 2, 12))
-	mCheckpointRecords = metrics.Default.Counter("campaign_checkpoint_records_total",
-		"Completed-job records appended to checkpoint files.")
 )
 
 // countJob tallies one fresh job result into the campaign counters.

@@ -171,70 +171,52 @@ func ExecuteCellJob(ctx context.Context, job CellJob) ([][]Measurement, error) {
 	return trials, nil
 }
 
-// remoteCell is one distributable cell, keyed by content address: every
-// compiled plan sharing the address (duplicate grid cells have identical
-// streams) plus, per plan, which trial positions are not already covered
-// by the checkpoint or cache. Indexing by trial position — not job index
-// — is what lets shard deliveries, which cover disjoint [lo, hi) trial
-// ranges in arbitrary order, splice independently.
-type remoteCell struct {
-	plans  []cellPlan
-	needed [][]bool // parallel to plans, indexed by trial position
-}
-
 // runRemote is RunSpec's execution path when Config.Remote is set: cells
-// not already satisfied by the checkpoint or cache are offered to the
-// remote scheduler while cfg.Workers local workers claim and execute the
-// rest, shard by shard, on pooled arenas. Results land in the
-// job-indexed slice whichever side computes them, so the aggregated
-// outcome is byte-identical to a purely local run — remote workers (and
-// their failures) can only move wall-clock time, and so can the shard
-// size, because every trial's stream was pre-split at compile time.
-func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cfg Config) ([]JobResult, error) {
-	results, reused := initResults(jobs, cfg.Completed)
-
-	// Cells with at least one job not covered by the checkpoint/cache are
-	// the distributable work, grouped by content address: a grid that
+// not already served from the cache (their jobs still Skipped in results)
+// are offered to the remote scheduler while cfg.Workers local workers
+// claim and execute the rest, shard by shard, on pooled arenas. Results
+// land in the job-indexed slice whichever side computes them, so the
+// aggregated outcome is byte-identical to a purely local run — remote
+// workers (and their failures) can only move wall-clock time, and so can
+// the shard size, because every trial's stream was pre-split at compile
+// time. landed, when non-nil, is told each job range whose results were
+// spliced.
+func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, results []JobResult, cfg Config, landed func(lo, hi int)) error {
+	// The distributable work is grouped by content address: a grid that
 	// lists the same cell twice (ns: [8, 8]) compiles to two plans with
 	// one address and identical streams, so one execution — local or
 	// remote — must splice into every plan sharing the key, and the
-	// scheduler must see the key exactly once.
-	work := make(map[string]*remoteCell, len(cells))
+	// scheduler must see the key exactly once. Cache coverage is
+	// all-or-nothing per address, so a plan is either wholly pending or
+	// wholly served.
+	work := make(map[string][]cellPlan, len(cells))
 	var cellJobs []CellJob
+	done := len(jobs)
 	for _, c := range cells {
-		needed := make([]bool, len(c.JobIdx))
-		any := false
-		for ti, idx := range c.JobIdx {
-			if results[idx].Skipped {
-				needed[ti], any = true, true
-			}
-		}
-		if !any {
+		if !results[c.JobIdx[0]].Skipped {
 			continue
 		}
-		rc := work[c.Key]
-		if rc == nil {
-			rc = &remoteCell{}
-			work[c.Key] = rc
+		done -= len(c.JobIdx)
+		if _, ok := work[c.Key]; !ok {
 			cellJobs = append(cellJobs, cellJob(canon, c))
 		}
-		rc.plans = append(rc.plans, c)
-		rc.needed = append(rc.needed, needed)
+		work[c.Key] = append(work[c.Key], c)
 	}
 	if len(cellJobs) == 0 {
-		return results, ctx.Err()
+		return cancelled(ctx, results)
 	}
 
 	var (
 		mu     sync.Mutex // guards results splicing, callbacks, and closed
-		done   = reused
 		closed bool
 	)
 	// fire splices one shard's fresh results and runs the callbacks, in
-	// job-index (trial) order. After close (cancellation teardown) late
-	// remote deliveries are dropped so nothing touches the results slice
-	// once runRemote returned it.
-	fire := func(rs []JobResult) {
+	// job-index (trial) order, then reports the shard's trials [lo, hi)
+	// of every plan in plans as landed (nil plans for a malformed
+	// delivery, which is all errors). After close (cancellation teardown)
+	// late remote deliveries are dropped so nothing touches the results
+	// slice once runRemote returned it.
+	fire := func(rs []JobResult, plans []cellPlan, lo, hi int) {
 		mu.Lock()
 		defer mu.Unlock()
 		if closed {
@@ -251,41 +233,44 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 				cfg.Progress(done, len(jobs))
 			}
 		}
+		if landed != nil {
+			for _, plan := range plans {
+				landed(plan.JobIdx[0]+lo, plan.JobIdx[0]+hi)
+			}
+		}
 	}
 	deliver := func(key string, lo, hi int, trials [][]Measurement) {
-		rc, ok := work[key]
+		plans, ok := work[key]
 		if !ok {
 			return
 		}
+		n := len(plans[0].JobIdx)
 		var rs []JobResult
-		for pi, plan := range rc.plans {
-			need := rc.needed[pi]
-			if lo < 0 || hi > len(need) || lo > hi || len(trials) != hi-lo {
-				// The Remote contract (and the coordinator's result
-				// validation) guarantee a shard inside the cell carrying
-				// exactly hi-lo slices; a scheduler that violates it has
-				// marked the shard complete, so the only non-wedging
-				// response is loud per-job errors in the artifact (a hang
-				// or a swallowed panic would hide it).
-				err := fmt.Errorf("campaign: remote delivered %d trials for %s[%d:%d) of %d",
-					len(trials), plan.Cell, lo, hi, len(need))
-				for ti := max(lo, 0); ti < min(hi, len(need)); ti++ {
-					if need[ti] {
-						rs = append(rs, JobResult{Index: plan.JobIdx[ti], Err: err})
-					}
+		if lo < 0 || hi > n || lo > hi || len(trials) != hi-lo {
+			// The Remote contract (and the coordinator's result
+			// validation) guarantee a shard inside the cell carrying
+			// exactly hi-lo slices; a scheduler that violates it has
+			// marked the shard complete, so the only non-wedging
+			// response is loud per-job errors in the artifact (a hang
+			// or a swallowed panic would hide it).
+			err := fmt.Errorf("campaign: remote delivered %d trials for %s[%d:%d) of %d",
+				len(trials), plans[0].Cell, lo, hi, n)
+			for _, plan := range plans {
+				for ti := max(lo, 0); ti < min(hi, n); ti++ {
+					rs = append(rs, JobResult{Index: plan.JobIdx[ti], Err: err})
 				}
-				continue
 			}
-			// Shards cover disjoint trial ranges, so splicing by trial
-			// position needs no cross-shard bookkeeping; positions the
-			// checkpoint or cache already covered are simply discarded.
+			fire(rs, nil, 0, 0)
+			return
+		}
+		// Shards cover disjoint trial ranges, so splicing by trial
+		// position needs no cross-shard bookkeeping.
+		for _, plan := range plans {
 			for ti := lo; ti < hi; ti++ {
-				if need[ti] {
-					rs = append(rs, JobResult{Index: plan.JobIdx[ti], Measurements: trials[ti-lo]})
-				}
+				rs = append(rs, JobResult{Index: plan.JobIdx[ti], Measurements: trials[ti-lo]})
 			}
 		}
-		fire(rs)
+		fire(rs, plans, lo, hi)
 	}
 
 	session := cfg.Remote.Open(cellJobs, deliver)
@@ -314,39 +299,26 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 				// trial after trial through the job closures — for every
 				// plan sharing the claimed content address.
 				lo, hi := job.ShardBounds()
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > job.Trials {
-					hi = job.Trials
-				}
+				lo, hi = max(lo, 0), min(hi, job.Trials)
 				arena.Runner.MaxRounds = 0
 				mBatchTrials.Observe(float64(hi - lo))
-				rc := work[job.Key]
-				var rs []JobResult
-				cancelled := false
-				for pi, plan := range rc.plans {
-					need := rc.needed[pi]
-					for ti := lo; ti < hi && ti < len(need); ti++ {
-						if !need[ti] {
-							continue
-						}
+				plans := work[job.Key]
+				rs := make([]JobResult, 0, len(plans)*max(hi-lo, 0))
+				for _, plan := range plans {
+					for ti := lo; ti < hi; ti++ {
 						if ctx.Err() != nil {
-							cancelled = true
-							break
+							// Partial shards are discarded (their jobs
+							// stay Skipped), mirroring the local pool's
+							// drain-on-cancel.
+							return
 						}
 						idx := plan.JobIdx[ti]
 						ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 						rs = append(rs, JobResult{Index: idx, Measurements: ms, Err: err})
 					}
 				}
-				if cancelled {
-					// Partial shards are discarded (their jobs stay
-					// Skipped), mirroring the local pool's drain-on-cancel.
-					return
-				}
 				if session.CompleteLocal(job.Key, lo, hi) {
-					fire(rs)
+					fire(rs, plans, lo, hi)
 				}
 			}
 		}()
@@ -356,14 +328,5 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, cf
 	mu.Lock()
 	closed = true
 	mu.Unlock()
-
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if results[i].Skipped {
-				results[i].Err = err
-			}
-		}
-		return results, fmt.Errorf("campaign: cancelled: %w", err)
-	}
-	return results, nil
+	return cancelled(ctx, results)
 }

@@ -3,9 +3,12 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+
+	"dyntreecast/internal/campaign/cache"
 )
 
 // fakeRemote is an in-process Remote for exercising runRemote without
@@ -236,45 +239,54 @@ func TestRunSpecRemoteShardedByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRunSpecRemoteShardedPartialCheckpoint: a checkpoint covering a
-// scatter of trials composes with single-trial remote shards — the
-// sharded deliveries discard checkpointed positions and fill the rest,
-// bytes unchanged.
-func TestRunSpecRemoteShardedPartialCheckpoint(t *testing.T) {
+// TestRunSpecRemoteShardedCancelStoresLandedCells: a sharded remote run
+// cancelled mid-campaign stores exactly the cells whose every shard
+// landed, each entry holding all of the cell's trials, and a local rerun
+// over that cache is byte-identical to an uninterrupted run.
+func TestRunSpecRemoteShardedCancelStoresLandedCells(t *testing.T) {
 	spec := remoteTestSpec()
 	want, err := RunSpec(context.Background(), spec, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := outcomeJSON(t, want)
-
-	jobs, err := spec.Compile()
+	c := cache.NewMemory()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	partial, runErr := RunSpec(ctx, spec, Config{
+		Workers:  2,
+		Cache:    c,
+		Remote:   &fakeRemote{takes: func(i int, _ CellJob) bool { return i%2 == 0 }, shard: 1},
+		OnResult: cancelAfterFirstCell(spec.Trials, cancel),
+	})
+	if runErr == nil {
+		t.Fatal("cancelled remote run reported no error")
+	}
+	stored := storedCompletedCells(t, spec, c, partial)
+	cells, err := spec.CellJobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(context.Background(), jobs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := map[int]JobResult{}
-	for i, r := range full {
-		if i%3 == 0 {
-			completed[i] = r
+	for _, cj := range cells {
+		data, ok, err := c.Get(cj.Key)
+		if err != nil || !ok {
+			continue
+		}
+		var ent cellEntry
+		if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != spec.Trials {
+			t.Errorf("cached %s holds %d trials (err %v), want %d", cj.Cell, len(ent.Trials), err, spec.Trials)
 		}
 	}
-	out, err := RunSpec(context.Background(), spec, Config{
-		Workers:   2,
-		Remote:    &fakeRemote{takes: func(int, CellJob) bool { return true }, shard: 1},
-		Completed: completed,
-	})
+
+	rerun, err := RunSpec(context.Background(), spec, Config{Workers: 2, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := outcomeJSON(t, out); got != wantJSON {
-		t.Errorf("sharded partial-checkpoint artifact differs:\n%s\nvs\n%s", got, wantJSON)
+	if rerun.CacheHits != len(stored)*spec.Trials || rerun.Executed+rerun.CacheHits != rerun.Jobs {
+		t.Errorf("rerun: %d cache hits + %d executed, want %d hits of %d jobs",
+			rerun.CacheHits, rerun.Executed, len(stored)*spec.Trials, rerun.Jobs)
 	}
-	if out.Reused != len(completed) {
-		t.Errorf("Reused = %d, want %d", out.Reused, len(completed))
+	if got, wantJSON := outcomeJSON(t, rerun), outcomeJSON(t, want); got != wantJSON {
+		t.Errorf("rerun artifact differs from uninterrupted run:\n%s\nvs\n%s", got, wantJSON)
 	}
 }
 
@@ -321,52 +333,55 @@ func TestExecuteCellJobShard(t *testing.T) {
 	}
 }
 
-// TestRunSpecRemotePartialCheckpoint covers the splice seam: a
-// checkpoint that holds some trials of a cell composes with a remote
-// delivery of the whole cell — checkpointed results win their indexes,
-// remote results fill the rest, bytes unchanged.
-func TestRunSpecRemotePartialCheckpoint(t *testing.T) {
+// TestRunSpecRemoteSkipsCachedCells: cells already in the cache are
+// never offered to the remote scheduler, the rest are executed remotely,
+// and the artifact is byte-identical to a local run.
+func TestRunSpecRemoteSkipsCachedCells(t *testing.T) {
 	spec := remoteTestSpec()
 	want, err := RunSpec(context.Background(), spec, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := outcomeJSON(t, want)
 
-	// Run once locally to harvest genuine results, then replay a partial
-	// scatter of them as the checkpoint: every third job.
-	jobs, err := spec.Compile()
-	if err != nil {
+	// Warm the cache with the grid's n=6 cells only.
+	c := cache.NewMemory()
+	warm := spec
+	warm.Ns = []int{6}
+	if _, err := RunSpec(context.Background(), warm, Config{Cache: c}); err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(context.Background(), jobs, Config{})
-	if err != nil {
-		t.Fatal(err)
+	cached := cachedCells(t, spec, c)
+	if len(cached) == 0 {
+		t.Fatal("warm-up stored nothing")
 	}
-	completed := map[int]JobResult{}
-	for i, r := range full {
-		if i%3 == 0 {
-			completed[i] = r
-		}
-	}
+
+	var offered []CellJob
 	fresh := 0
 	out, err := RunSpec(context.Background(), spec, Config{
-		Workers:   2,
-		Remote:    &fakeRemote{takes: func(int, CellJob) bool { return true }},
-		Completed: completed,
-		OnResult:  func(JobResult) { fresh++ }, // serialized by runRemote's mutex
+		Workers: 2,
+		Cache:   c,
+		Remote: &fakeRemote{takes: func(_ int, job CellJob) bool {
+			offered = append(offered, job) // called synchronously by Open
+			return true
+		}},
+		OnResult: func(JobResult) { fresh++ }, // serialized by runRemote's mutex
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := outcomeJSON(t, out); got != wantJSON {
-		t.Errorf("partial-checkpoint remote artifact differs:\n%s\nvs\n%s", got, wantJSON)
+	for _, job := range offered {
+		if cached[job.Cell] {
+			t.Errorf("cached cell %s was passed to Remote.Open", job.Cell)
+		}
 	}
-	if out.Reused != len(completed) {
-		t.Errorf("Reused = %d, want %d", out.Reused, len(completed))
+	if len(offered)+len(cached) != len(want.Cells) {
+		t.Errorf("Remote.Open saw %d cells, want the %d uncached", len(offered), len(want.Cells)-len(cached))
 	}
-	if fresh != out.Jobs-len(completed) {
-		t.Errorf("OnResult saw %d fresh jobs, want %d", fresh, out.Jobs-len(completed))
+	if got, wantJSON := outcomeJSON(t, out), outcomeJSON(t, want); got != wantJSON {
+		t.Errorf("remote artifact over a warm cache differs:\n%s\nvs\n%s", got, wantJSON)
+	}
+	if hits := len(cached) * spec.Trials; out.CacheHits != hits || fresh != out.Jobs-hits {
+		t.Errorf("cache hits %d, OnResult saw %d fresh jobs; want %d and %d", out.CacheHits, fresh, hits, out.Jobs-hits)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // Scenario type that selects a family with a JSON-serializable parameter
 // assignment. Everything a family declares — its name, its parameters
 // with kinds and defaults, its per-n feasibility — is consumed uniformly
-// by spec validation, grid compilation, cache-key derivation, checkpoint
+// by spec validation, grid compilation, cache-key derivation, spec
 // hashing, and campaignd, so a family registered by downstream code (via
 // the root package's RegisterAdversary) participates in all of them
 // without touching internals.
@@ -84,7 +84,7 @@ func (p Params) Bool(name string) bool {
 // The campaign layer never special-cases a family: validation, axis
 // expansion, feasibility filtering, cache keys, and construction all flow
 // from this declaration alone, which is what lets downstream code plug
-// custom families into campaigns, caching, checkpointing, and campaignd.
+// custom families into campaigns, caching, and campaignd.
 type Family struct {
 	// Name is the registry key scenarios reference. Lowercase
 	// kebab-case by convention.
@@ -162,9 +162,9 @@ func init() {
 
 // Register adds an adversary family to the open registry, making it
 // addressable from campaign specs, cmd/campaign and cmd/sweep flags, and
-// campaignd submissions — including their cache, checkpoint, and resume
-// paths. Names are unique; re-registering one is an error, as is setting
-// Portfolio (reserved for built-ins). Safe for concurrent use. The root
+// campaignd submissions — including their cache and resume paths. Names
+// are unique; re-registering one is an error, as is setting Portfolio
+// (reserved for built-ins). Safe for concurrent use. The root
 // package re-exports this as RegisterAdversary.
 func Register(f Family) error { return register(f, false) }
 
@@ -532,7 +532,7 @@ func normalizeScalar(raw any, kind string) (any, error) {
 // checkStringParamValue rejects string parameter values that would
 // corrupt the derived plain-text identities they are embedded in: cell
 // display keys ("family/n=8/mode=greedy" — '/' and '=' are its
-// separators), CSV artifact rows (','), and the line-oriented checkpoint
+// separators), CSV artifact rows (','), and the line-oriented stream
 // JSONL and progress output (control characters, including newlines).
 // Enforced in normalizeScalar so both registration-time defaults and
 // scenario values pass through it; canonical JSON identities were never

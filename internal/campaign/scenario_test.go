@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -276,8 +275,8 @@ func TestConstructionErrorNamesCell(t *testing.T) {
 
 // TestCustomFamilyFullServiceLayer registers a parameterized custom
 // family through the open registry and drives it through the whole
-// service stack: campaign run, content-addressed cache, checkpoint
-// write + resume — with byte-identical artifacts throughout.
+// service stack: campaign run, content-addressed cache, kill and resume
+// — with byte-identical artifacts throughout.
 func TestCustomFamilyFullServiceLayer(t *testing.T) {
 	// A "lazy-star" adversary: plays the star rooted at (round+offset) mod
 	// n — broadcast completes in 1 round regardless, keeping the test fast
@@ -337,30 +336,9 @@ func TestCustomFamilyFullServiceLayer(t *testing.T) {
 		t.Error("cached custom artifact differs")
 	}
 
-	// Checkpoint round-trip: record a full run, then resume from the file.
-	path := filepath.Join(t.TempDir(), "custom.ckpt")
-	cf, err := OpenCheckpointFile(path, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunSpec(context.Background(), spec, cf.Wire(Config{})); err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeSpec(context.Background(), spec, cp, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Reused != resumed.Jobs {
-		t.Errorf("resume reused %d/%d jobs", resumed.Reused, resumed.Jobs)
-	}
-	if !bytes.Equal(artifactBytes(t, resumed), want) {
+	// Kill-and-resume: cancel a cache-backed run after its first cell,
+	// rerun over the same cache.
+	if !bytes.Equal(artifactBytes(t, interruptAndResume(t, spec, 1, 2)), want) {
 		t.Error("resumed custom artifact differs")
 	}
 }
@@ -408,7 +386,7 @@ func TestParseScenarioRejectsTrailingData(t *testing.T) {
 // TestStringParamSeparatorsRejected pins the identity-corruption fix: a
 // string param value carrying a cell-key separator ('/', '='), a CSV
 // comma, or a control character would corrupt cell display keys, CSV
-// artifact rows, and checkpoint JSONL readability. Both spec expansion
+// artifact rows, and line-oriented stream readability. Both spec expansion
 // and registration-time defaults must reject them.
 func TestStringParamSeparatorsRejected(t *testing.T) {
 	if err := Register(Family{

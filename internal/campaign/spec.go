@@ -8,7 +8,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
+	"sort"
+	"strconv"
+	"sync/atomic"
 
 	"dyntreecast/internal/campaign/cache"
 	"dyntreecast/internal/core"
@@ -16,7 +21,7 @@ import (
 )
 
 // EngineVersion names the simulation semantics that cell results depend
-// on. It participates in every cache key and checkpoint hash, so bumping
+// on. It participates in every cache key and spec hash, so bumping
 // it (whenever engines, adversaries, or stream derivation change results)
 // invalidates stale stored cells instead of silently serving them.
 // Version 3 marks spec schema v2: cell identities hash canonicalized
@@ -42,8 +47,8 @@ const SpecVersion = 2
 //   - legacy form (Version 1, or 0 with Adversaries set): a list of
 //     family names plus one shared Ks axis consumed by the families
 //     declaring a required "k" param. Canonical rewrites it into
-//     scenarios, so both spellings of a grid share cache keys,
-//     checkpoints, and artifacts byte for byte.
+//     scenarios, so both spellings of a grid share cache keys and
+//     artifacts byte for byte.
 type Spec struct {
 	Version     int        `json:"version,omitempty"`
 	Name        string     `json:"name,omitempty"`
@@ -74,7 +79,7 @@ func CellKey(adv string, n, k int) string {
 // defaults filled, values normalized). Canonicalization is idempotent,
 // and every equivalent spelling of a grid — legacy or scenario, axis
 // list or expanded — converges to the same canonical spec, which is why
-// they share cache keys, checkpoint hashes, and artifact bytes.
+// they share cache keys, spec hashes, and artifact bytes.
 func (s *Spec) Canonical() (Spec, error) {
 	canon, _, err := s.canonical()
 	return canon, err
@@ -194,6 +199,32 @@ func requiredParams(f Family) []string {
 	return out
 }
 
+// SpecHash returns the stable identity of a spec: a hex SHA-256 over the
+// engine version and the spec's canonical JSON (campaignd derives
+// campaign ids from it). Any change to the spec — or to the engine
+// semantics — yields a different hash. The hash covers what determines
+// results, not presentation: the display Name is ignored, the default
+// goal is spelled out, and the spec is canonicalized first (legacy
+// adversaries/ks rewritten into ground scenarios), so every equivalent
+// spelling of a campaign shares one hash. An invalid spec hashes its raw
+// form.
+func SpecHash(spec Spec) string {
+	if canon, err := spec.Canonical(); err == nil {
+		spec = canon
+	}
+	spec.Name = ""
+	spec.Goal = spec.goalName()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		// Spec is a plain struct of marshalable fields; this cannot fail.
+		panic(fmt.Sprintf("campaign: marshaling spec: %v", err))
+	}
+	h := sha256.New()
+	io.WriteString(h, EngineVersion+"|spec|")
+	h.Write(data)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // Validate reports the first structural problem of the spec, or nil.
 func (s *Spec) Validate() error {
 	_, err := s.Canonical()
@@ -270,34 +301,6 @@ func (s *Spec) Compile() ([]Job, error) {
 	return jobs, err
 }
 
-// errEmptyGrid is the shared construction of the "nothing to run" error,
-// used by jobCount and compile so the two paths cannot drift.
-func errEmptyGrid() error {
-	return fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
-}
-
-// jobCount returns the number of jobs the spec compiles to, without
-// building closures or splitting sources — cheap enough to call on every
-// checkpoint open even for million-job grids.
-func (s *Spec) jobCount() (int, error) {
-	canon, grounds, err := s.canonical()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, g := range grounds {
-		for _, n := range canon.Ns {
-			if g.feasible(n) {
-				total += canon.Trials
-			}
-		}
-	}
-	if total == 0 {
-		return 0, errEmptyGrid()
-	}
-	return total, nil
-}
-
 func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
 	canon, grounds, err := s.canonical()
 	if err != nil {
@@ -323,7 +326,7 @@ func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
 		}
 	}
 	if len(jobs) == 0 {
-		return nil, nil, Spec{}, errEmptyGrid()
+		return nil, nil, Spec{}, fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
 	}
 	return jobs, cells, canon, nil
 }
@@ -363,11 +366,10 @@ type Outcome struct {
 
 	// Job-accounting fields, populated by RunSpec and excluded from the
 	// JSON artifact so that warm-cache and resumed runs stay byte-identical
-	// to cold ones. Executed + CacheHits + Reused == Completed + Failed
-	// for an uncancelled run.
+	// to cold ones. Executed + CacheHits == Completed + Failed for an
+	// uncancelled run.
 	Executed  int `json:"-"` // jobs actually run by the worker pool
 	CacheHits int `json:"-"` // jobs satisfied from Config.Cache
-	Reused    int `json:"-"` // jobs satisfied from Config.Completed (checkpoint)
 }
 
 // cellEntry is the JSON value stored in the cell cache: all of a cell's
@@ -375,6 +377,73 @@ type Outcome struct {
 type cellEntry struct {
 	Cell   string          `json:"cell"`
 	Trials [][]Measurement `json:"trials"`
+}
+
+// appendCellEntry appends to b the cache entry of the cell named cell
+// whose trials are results[idx[0]], results[idx[1]], … — byte for byte
+// the json.Marshal encoding of the matching cellEntry, which loadCell
+// decodes. It exists so the cell store can encode into one reused
+// buffer: json.Marshal draws its scratch from a per-P pool, and the
+// storing goroutine, which wakes on whichever P is free, would regrow
+// that scratch on every miss.
+func appendCellEntry(b []byte, cell string, results []JobResult, idx []int) ([]byte, error) {
+	name, err := json.Marshal(cell)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `{"cell":`...)
+	b = append(b, name...)
+	b = append(b, `,"trials":[`...)
+	for i, j := range idx {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		ms := results[j].Measurements
+		if ms == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		b = append(b, '[')
+		for k, m := range ms {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			q := name
+			if m.Cell != cell {
+				if q, err = json.Marshal(m.Cell); err != nil {
+					return b, err
+				}
+			}
+			b = append(b, `{"cell":`...)
+			b = append(b, q...)
+			b = append(b, `,"value":`...)
+			if b, err = appendJSONFloat(b, m.Value); err != nil {
+				return b, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendJSONFloat appends f exactly as encoding/json encodes a float64:
+// shortest decimal, exponent form outside [1e-6, 1e21), no leading zero
+// in a negative exponent. NaN and infinities are errors, as there.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("campaign: unsupported measurement value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // RunSpec compiles and executes the spec on cfg's worker pool and
@@ -386,11 +455,13 @@ type cellEntry struct {
 //
 // When cfg.Cache is set, each cell whose content address is present in
 // the cache is served from it (its jobs never reach the pool), and each
-// cell computed fresh and fully successful is stored back. When
-// cfg.Completed holds checkpointed results, those jobs are reused
-// likewise. Either way the aggregated Outcome — and its JSON artifact —
-// is byte-identical to an uncached, uninterrupted run, because results
-// are observed in job-index order regardless of provenance.
+// cell computed fresh and fully successful is stored back as soon as its
+// last trial lands. A cancelled or killed run therefore leaves every
+// completed cell in the cache, and rerunning the spec over the same cache
+// — at any worker count — executes only the missing cells. Either way the
+// aggregated Outcome, and its JSON artifact, is byte-identical to an
+// uncached, uninterrupted run, because results are observed in job-index
+// order regardless of provenance.
 func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 	jobs, cells, canon, err := spec.compile()
 	if err != nil {
@@ -399,95 +470,50 @@ func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 	mRunsStarted.Inc()
 	mRunsActive.Inc()
 	defer mRunsActive.Dec()
-	// Copy so the cache pass below can add entries without mutating the
-	// caller's map. Run is the single splice point: it ignores
-	// out-of-range indexes, so only in-range entries count as reused.
-	completed := make(map[int]JobResult, len(cfg.Completed))
-	reused := 0
-	for idx, r := range cfg.Completed {
-		completed[idx] = r
-		if idx >= 0 && idx < len(jobs) {
-			reused++
-		}
-	}
+	results := newResults(len(jobs))
 	cacheHits := 0
-	var misses []cellPlan // cells to store after a fresh computation
+	var (
+		st     *cellStore
+		landed func(lo, hi int)
+	)
 	if cfg.Cache != nil {
 		for _, c := range cells {
-			if covered(completed, c.JobIdx) {
-				continue // fully checkpointed; no cache involvement needed
-			}
-			data, ok, err := cfg.Cache.Get(c.Key)
+			trials, ok, err := loadCell(cfg.Cache, c)
 			if err != nil {
-				return nil, fmt.Errorf("campaign: cache get %s: %w", c.Cell, err)
+				return nil, err
 			}
 			if !ok {
-				misses = append(misses, c)
-				continue
-			}
-			var ent cellEntry
-			if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != len(c.JobIdx) {
-				// A truncated, torn, or foreign entry is a miss, never an
-				// error: the cell is recomputed (the determinism contract
-				// makes the recomputation byte-identical to what the entry
-				// should have held). Backends that can delete also heal —
-				// the bad bytes are evicted immediately instead of being
-				// served to readers that never Put (the warehouse query
-				// layer) until some campaign overwrites them.
-				if d, ok := cfg.Cache.(cache.Deleter); ok {
-					if derr := d.Delete(c.Key); derr != nil {
-						return nil, fmt.Errorf("campaign: cache delete %s: %w", c.Cell, derr)
-					}
-				}
-				misses = append(misses, c)
 				continue
 			}
 			for ti, idx := range c.JobIdx {
-				if _, have := completed[idx]; have {
-					continue
-				}
-				completed[idx] = JobResult{Index: idx, Measurements: ent.Trials[ti]}
-				cacheHits++
+				results[idx] = JobResult{Index: idx, Measurements: trials[ti]}
 			}
+			cacheHits += len(c.JobIdx)
 		}
+		st = newCellStore(cfg.Cache, cells, results)
+		landed = st.landed
 	}
-	runCfg := cfg
-	runCfg.Completed = completed
-	var results []JobResult
+	execute := func() error {
+		if cfg.Remote != nil {
+			return runRemote(ctx, jobs, cells, canon, results, cfg, landed)
+		}
+		return runLocal(ctx, jobs, results, cfg, landed)
+	}
 	var runErr error
-	if cfg.Remote != nil {
-		results, runErr = runRemote(ctx, jobs, cells, canon, runCfg)
+	if st == nil {
+		runErr = execute()
 	} else {
-		results, runErr = Run(ctx, jobs, runCfg)
-	}
-	if cfg.Cache != nil && runErr == nil {
-		for _, c := range misses {
-			ent := cellEntry{Cell: c.Cell, Trials: make([][]Measurement, len(c.JobIdx))}
-			storable := true
-			for ti, idx := range c.JobIdx {
-				r := results[idx]
-				if r.Skipped || r.Err != nil {
-					storable = false
-					break
-				}
-				ent.Trials[ti] = r.Measurements
-			}
-			if !storable {
-				continue
-			}
-			data, err := json.Marshal(ent)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
-			}
-			if err := cfg.Cache.Put(c.Key, data); err != nil {
-				return nil, fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
-			}
+		// Execution moves to its own goroutine; this one is the only
+		// one that touches the cache, storing cells as they land.
+		go func() {
+			runErr = execute()
+			close(st.queue)
+		}()
+		if err := st.drain(); err != nil {
+			return nil, err
 		}
 	}
-	out := &Outcome{
-		Spec: canon, Jobs: len(jobs), Cells: Aggregate(results),
-		CacheHits: cacheHits, Reused: reused,
-	}
+	out := &Outcome{Spec: canon, Jobs: len(jobs), Cells: Aggregate(results), CacheHits: cacheHits}
 	for _, r := range results {
 		switch {
 		case r.Skipped:
@@ -498,18 +524,106 @@ func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 			out.Completed++
 		}
 	}
-	out.Executed = out.Completed + out.Failed - cacheHits - reused
+	out.Executed = out.Completed + out.Failed - cacheHits
 	return out, runErr
 }
 
-// covered reports whether every index in idxs is present in completed.
-func covered(completed map[int]JobResult, idxs []int) bool {
-	for _, idx := range idxs {
-		if _, ok := completed[idx]; !ok {
-			return false
+// loadCell reads one cell's per-trial measurements from the cache. A
+// truncated, torn, or foreign entry is a miss, never an error: the cell
+// is recomputed (the determinism contract makes the recomputation
+// byte-identical to what the entry should have held). Backends that can
+// delete also heal — the bad bytes are evicted immediately instead of
+// being served to readers that never Put (the warehouse query layer)
+// until some campaign overwrites them.
+func loadCell(c cache.Cache, plan cellPlan) ([][]Measurement, bool, error) {
+	data, ok, err := c.Get(plan.Key)
+	if err != nil {
+		return nil, false, fmt.Errorf("campaign: cache get %s: %w", plan.Cell, err)
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	var ent cellEntry
+	if err := json.Unmarshal(data, &ent); err == nil && len(ent.Trials) == len(plan.JobIdx) {
+		return ent.Trials, true, nil
+	}
+	if d, ok := c.(cache.Deleter); ok {
+		if err := d.Delete(plan.Key); err != nil {
+			return nil, false, fmt.Errorf("campaign: cache delete %s: %w", plan.Cell, err)
 		}
 	}
-	return true
+	return nil, false, nil
+}
+
+// cellStore is RunSpec's persistence path. Execution reports each range
+// of jobs whose results have landed; once every trial of a cell has
+// landed, the cell is queued to RunSpec's own goroutine, which encodes it
+// and Puts it into the cache (drain). Cells are thus stored as they
+// finish — a cancelled or killed run leaves every completed cell behind —
+// yet the Puts never run on a worker, under a results lock, or on a
+// remote delivery path.
+type cellStore struct {
+	cache   cache.Cache
+	cells   []cellPlan
+	results []JobResult
+	left    []atomic.Int64 // per cell: trials that have not landed yet
+	queue   chan int       // cells whose every trial landed; never blocks
+}
+
+func newCellStore(c cache.Cache, cells []cellPlan, results []JobResult) *cellStore {
+	st := &cellStore{
+		cache: c, cells: cells, results: results,
+		left:  make([]atomic.Int64, len(cells)),
+		queue: make(chan int, len(cells)), // each cell is queued at most once
+	}
+	for i, c := range cells {
+		st.left[i].Store(int64(len(c.JobIdx)))
+	}
+	return st
+}
+
+// landed records that jobs [lo, hi) hold their final results. The range
+// may span several cells: duplicate grid cells share a display key, so
+// one batch can cover the end of one and the start of the next.
+func (st *cellStore) landed(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	i := sort.Search(len(st.cells), func(i int) bool {
+		idx := st.cells[i].JobIdx
+		return idx[len(idx)-1] >= lo
+	})
+	for ; i < len(st.cells) && st.cells[i].JobIdx[0] < hi; i++ {
+		idx := st.cells[i].JobIdx
+		n := min(hi, idx[len(idx)-1]+1) - max(lo, idx[0])
+		if st.left[i].Add(-int64(n)) == 0 {
+			st.queue <- i
+		}
+	}
+}
+
+// drain stores every queued cell whose trials all succeeded until the
+// queue is closed, and reports the first encode or Put failure (cells
+// queued after it are not stored). Duplicate grid cells share a content
+// address; each Put rewrites identical bytes.
+func (st *cellStore) drain() error {
+	var (
+		first error
+		buf   []byte // one encoding buffer for every cell
+	)
+	for i := range st.queue {
+		c := st.cells[i]
+		if first != nil || slices.ContainsFunc(c.JobIdx, func(idx int) bool { return st.results[idx].Err != nil }) {
+			continue
+		}
+		var err error
+		if buf, err = appendCellEntry(buf[:0], c.Cell, st.results, c.JobIdx); err != nil {
+			first = fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
+		} else if err := st.cache.Put(c.Key, buf); err != nil {
+			first = fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
+		}
+	}
+	return first
 }
 
 // LoadSpec reads a JSON Spec from r, rejecting unknown fields so typos in

@@ -329,15 +329,15 @@ func killerWorker(url string, max int) {
 // TestClusterEndToEndByteIdentity is the acceptance test of the fabric:
 // one coordinator plus two in-process workers (and one lease-abandoning
 // killer) produce JSON and JSONL artifacts byte-identical to a purely
-// local run — with the dir cache and a checkpoint enabled, and again
-// when the first clustered run is killed partway and resumed.
+// local run — with the dir cache enabled, when the first clustered run
+// is killed partway and resumed from the cache.
 func TestClusterEndToEndByteIdentity(t *testing.T) {
 	clusterEndToEnd(t, Options{LeaseTTL: 80 * time.Millisecond})
 }
 
 // TestShardedClusterEndToEndByteIdentity reruns the full e2e — two
 // workers, a killer that leases shards and dies mid-shard, kill-and-
-// resume with checkpoint and cache — with every cell split into 2-trial
+// resume from the cache — with every cell split into 2-trial
 // shards. The artifacts must still match the purely local run byte for
 // byte: the shard size is pure scheduling.
 func TestShardedClusterEndToEndByteIdentity(t *testing.T) {
@@ -366,13 +366,8 @@ func clusterEndToEnd(t *testing.T, opts Options) {
 		t.Fatalf("cache.NewDir: %v", err)
 	}
 
-	// Phase 1: clustered run with checkpoint + cache, killed after a few
-	// results land.
-	ckpt := filepath.Join(dir, "run.ckpt")
-	cf, err := campaign.OpenCheckpointFile(ckpt, spec)
-	if err != nil {
-		t.Fatalf("OpenCheckpointFile: %v", err)
-	}
+	// Phase 1: clustered run over the cache, killed after a few results
+	// land. Every cell that completed before the kill is already stored.
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := campaign.Config{Workers: 2, Remote: c, Cache: store}
 	cfg.Progress = func(done, total int) {
@@ -380,29 +375,22 @@ func clusterEndToEnd(t *testing.T, opts Options) {
 			cancel()
 		}
 	}
-	_, runErr := campaign.RunSpec(ctx, spec, cf.Wire(cfg))
+	_, runErr := campaign.RunSpec(ctx, spec, cfg)
 	cancel()
-	if err := cf.Close(); err != nil {
-		t.Fatalf("checkpoint close: %v", err)
-	}
 	if runErr == nil {
 		// The whole grid may legitimately finish before the kill lands on
-		// a fast machine; the resume below then just replays everything.
+		// a fast machine; the resume below then serves everything.
 		t.Logf("phase 1 finished before cancellation")
 	}
 
-	// Phase 2: resume the checkpoint under the same cluster; the final
+	// Phase 2: resume from the cache under the same cluster; the final
 	// artifact must be byte-identical to the uninterrupted local run.
-	cf, err = campaign.OpenCheckpointFile(ckpt, spec)
-	if err != nil {
-		t.Fatalf("reopening checkpoint: %v", err)
-	}
-	out, err := campaign.RunSpec(context.Background(), spec, cf.Wire(campaign.Config{Workers: 2, Remote: c, Cache: store}))
+	out, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2, Remote: c, Cache: store})
 	if err != nil {
 		t.Fatalf("resumed clustered RunSpec: %v", err)
 	}
-	if err := cf.Close(); err != nil {
-		t.Fatalf("checkpoint close: %v", err)
+	if out.Executed+out.CacheHits != out.Jobs {
+		t.Fatalf("resume executed %d + %d from cache, want %d jobs", out.Executed, out.CacheHits, out.Jobs)
 	}
 	gotJSON, gotJSONL := artifacts(t, out)
 	if gotJSON != wantJSON {
@@ -412,20 +400,7 @@ func clusterEndToEnd(t *testing.T, opts Options) {
 		t.Fatalf("clustered JSONL artifact differs from local run:\n--- local ---\n%s\n--- cluster ---\n%s", wantJSONL, gotJSONL)
 	}
 
-	// Phase 3: a cache-backed clustered rerun without the checkpoint.
-	// Cells the checkpoint fully covered in phase 2 were deliberately
-	// never written to the cache, so this run recomputes only those —
-	// and tops the cache up.
-	out, err = campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2, Remote: c, Cache: store})
-	if err != nil {
-		t.Fatalf("cache-backed clustered RunSpec: %v", err)
-	}
-	gotJSON, gotJSONL = artifacts(t, out)
-	if gotJSON != wantJSON || gotJSONL != wantJSONL {
-		t.Fatalf("cache-backed clustered artifacts differ from local run")
-	}
-
-	// Phase 4: now fully warm — nothing executes, bytes still identical.
+	// Phase 3: now fully warm — nothing executes, bytes still identical.
 	out, err = campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2, Remote: c, Cache: store})
 	if err != nil {
 		t.Fatalf("warm clustered RunSpec: %v", err)

@@ -1,8 +1,9 @@
 // Package server implements the campaign service behind cmd/campaignd: an
 // HTTP facade over the campaign runner (internal/campaign) that accepts
 // declarative specs, executes them on worker pools, streams per-cell
-// results as they land, and checkpoints in-flight campaigns on graceful
-// shutdown so they can be resumed by a later submission of the same spec.
+// results as they land, and — with a cell cache — keeps every completed
+// cell across graceful shutdowns and restarts, so a later submission of
+// an interrupted spec resumes it.
 //
 // Endpoints (README.md "Serving campaigns" has curl examples):
 //
@@ -11,7 +12,7 @@
 //	                           scenario form (version 2) and the legacy
 //	                           adversaries/ks form — and are canonicalized
 //	                           on arrival, so equivalent submissions share
-//	                           checkpoints, cache cells, and artifacts.
+//	                           cache cells and artifacts.
 //	GET  /campaigns            list campaigns with status
 //	GET  /campaigns/{id}       status + per-cell aggregates (live or final)
 //	GET  /campaigns/{id}/stream  per-measurement stream: JSONL by default,
@@ -27,10 +28,10 @@
 //
 // Every result served is governed by the campaign determinism contract:
 // a campaign's aggregates are a pure function of its spec, so the daemon
-// can checkpoint, resume, and cache across requests without ever changing
-// an answer. The package serves the ROADMAP's "serve heavy traffic" goal
-// (sharding and batching via the worker pool, async submission, caching
-// via the cell cache).
+// can cache and resume across requests without ever changing an answer.
+// The package serves the ROADMAP's "serve heavy traffic" goal (sharding
+// and batching via the worker pool, async submission, caching via the
+// cell cache).
 package server
 
 import (
@@ -38,7 +39,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -54,12 +54,11 @@ type Options struct {
 	// Workers is the pool size per campaign; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, is shared by every campaign the server runs.
+	// Each cell is stored as soon as its last trial lands, so a
+	// submission of a spec interrupted by a shutdown — of this server or
+	// an earlier one sharing the cache — resumes it: completed cells are
+	// served from the cache and only the rest execute.
 	Cache cache.Cache
-	// CheckpointDir, when non-empty, makes every campaign checkpoint to
-	// <dir>/<spec-hash>.ckpt as results land. A submission whose spec
-	// matches an existing checkpoint resumes it — including after a
-	// daemon restart or graceful shutdown.
-	CheckpointDir string
 	// ReplayLimit bounds each campaign's stream-replay buffer (number of
 	// events kept for late subscribers); <= 0 selects 65536. Subscribers
 	// that fall behind the window get a truncation notice and continue
@@ -87,8 +86,8 @@ type Options struct {
 const defaultReplayLimit = 65536
 
 // Server runs campaigns and serves their state over HTTP. It implements
-// http.Handler; use Shutdown for a graceful stop that checkpoints
-// in-flight campaigns.
+// http.Handler; use Shutdown for a graceful stop that cancels in-flight
+// campaigns after their completed cells reach the cache.
 type Server struct {
 	opts   Options
 	mux    *http.ServeMux
@@ -97,8 +96,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*run
-	order     []string        // submission order, for listing
-	inUse     map[string]bool // checkpoint paths held by running campaigns
+	order     []string // submission order, for listing
 	nextID    int
 	closed    bool
 	wg        sync.WaitGroup
@@ -147,7 +145,6 @@ func New(opts Options) *Server {
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: make(map[string]*run),
-		inUse:     make(map[string]bool),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", s.handleSubmit)
@@ -180,9 +177,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Shutdown gracefully stops the server: no new campaigns are accepted,
-// running campaigns are cancelled (their checkpoints already hold every
-// completed job), and Shutdown waits — up to ctx's deadline — for them to
-// flush and finish.
+// running campaigns are cancelled (the cache already holds, or is being
+// handed, every completed cell), and Shutdown waits — up to ctx's
+// deadline — for them to flush and finish.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -221,10 +218,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	// Canonicalize before anything else: legacy-form submissions
 	// (adversaries/ks) and scenario-form submissions of the same grid
-	// collapse to one canonical spec, so they share ids-per-hash,
-	// checkpoints, cache cells, and artifact bytes. A bad spec — unknown
-	// family, bad scenario params, unsupported version — is a 400 here,
-	// before any job runs.
+	// collapse to one canonical spec, so they share ids-per-hash, cache
+	// cells, and artifact bytes. A bad spec — unknown family, bad
+	// scenario params, unsupported version — is a 400 here, before any
+	// job runs.
 	spec, err = spec.Canonical()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -260,23 +257,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": len(jobs), "status": "running"})
 }
 
-// checkpointPath returns the checkpoint file for a spec, or "" when
-// checkpointing is off or the path is already held by a running campaign
-// (two concurrent submissions of one spec must not share a file).
-func (s *Server) checkpointPath(spec campaign.Spec) string {
-	if s.opts.CheckpointDir == "" {
-		return ""
-	}
-	path := filepath.Join(s.opts.CheckpointDir, campaign.SpecHash(spec)+".ckpt")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inUse[path] {
-		return ""
-	}
-	s.inUse[path] = true
-	return path
-}
-
 func (s *Server) execute(r *run) {
 	defer s.wg.Done()
 	cfg := campaign.Config{
@@ -290,32 +270,13 @@ func (s *Server) execute(r *run) {
 		// behind it.
 		cfg.Remote = s.opts.Cluster
 	}
-	if path := s.checkpointPath(r.spec); path != "" {
-		defer func() {
-			s.mu.Lock()
-			delete(s.inUse, path)
-			s.mu.Unlock()
-		}()
-		cf, err := campaign.OpenCheckpointFile(path, r.spec)
-		if err != nil {
-			s.logf("campaign %s: checkpoint disabled: %v", r.id, err)
-		} else {
-			if n := len(cf.Completed); n > 0 {
-				s.logf("campaign %s: resuming %d jobs from %s", r.id, n, path)
-			}
-			cfg = cf.Wire(cfg)
-			defer func() {
-				if err := cf.Close(); err != nil {
-					s.logf("campaign %s: %v", r.id, err)
-				}
-			}()
-		}
-	}
 	outcome, err := campaign.RunSpec(s.ctx, r.spec, cfg)
-	r.finish(outcome, err)
+	// Ingest before publishing the final status, so a client that sees
+	// "done" can query the run's rows right away.
 	if err == nil {
 		s.ingestOutcome(r.id, outcome)
 	}
+	r.finish(outcome, err)
 	s.logf("campaign %s: %s", r.id, r.statusLine())
 }
 
@@ -389,8 +350,8 @@ func (r *run) statusLine() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.outcome != nil {
-		return fmt.Sprintf("%s (%d/%d jobs, %d failed, %s, %.1f trials/sec)",
-			r.status, r.outcome.Completed, r.jobs, r.outcome.Failed,
+		return fmt.Sprintf("%s (%d/%d jobs, %d failed, %d from cache, %s, %.1f trials/sec)",
+			r.status, r.outcome.Completed, r.jobs, r.outcome.Failed, r.outcome.CacheHits,
 			r.elapsed().Round(time.Millisecond), r.trialsPerSec(r.outcome.Completed))
 	}
 	return r.status

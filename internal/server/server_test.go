@@ -9,10 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -264,38 +265,78 @@ func TestServerSharesCellCache(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownCheckpointsInFlight: shutting the server down
-// mid-campaign leaves a valid checkpoint holding the completed jobs, and
-// resuming from it yields an artifact byte-identical to an uninterrupted
-// run.
-func TestGracefulShutdownCheckpointsInFlight(t *testing.T) {
-	ckptDir := t.TempDir()
-	srv := New(Options{Workers: 1, CheckpointDir: ckptDir})
+// restartSpec has a quick first cell and a slow second one, so a
+// shutdown timed off the stream lands after the first cell completed.
+const restartSpec = `{"name":"restart","adversaries":["random-tree"],"ns":[8,256],"trials":1000,"seed":8}`
+
+// shutdownAfterFirstCell submits restartSpec to a one-worker server
+// backed by c, follows the stream until a second cell's result arrives —
+// the first cell's trials have then all run — and shuts the server down.
+// It returns the campaign's id.
+func shutdownAfterFirstCell(t *testing.T, c cache.Cache) (*Server, *httptest.Server, string) {
+	t.Helper()
+	srv := New(Options{Workers: 1, Cache: c})
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	big := `{"name":"slow","adversaries":["random-tree"],"ns":[64],"trials":2000,"seed":3}`
-	id, jobs := submit(t, ts, big)
-
-	// Follow the stream until a result lands, so shutdown hits mid-run.
+	id, _ := submit(t, ts, restartSpec)
 	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatal("no stream output before shutdown")
+	first := ""
+	for sc.Scan() {
+		var ev struct {
+			Cell string `json:"cell"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Cell == "" {
+			continue
+		}
+		if first == "" {
+			first = ev.Cell
+		} else if ev.Cell != first {
+			break
+		}
 	}
 	resp.Body.Close()
-
+	if first == "" {
+		t.Fatal("no stream output before shutdown")
+	}
 	ctx, cancelWait := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelWait()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
+	return srv, ts, id
+}
+
+// artifactOf returns the JSON artifact of a finished campaign.
+func artifactOf(t *testing.T, srv *Server, id string) []byte {
+	t.Helper()
+	srv.mu.Lock()
+	r := srv.campaigns[id]
+	srv.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var buf bytes.Buffer
+	if err := r.outcome.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGracefulShutdownCachesCompletedCells: shutting the server down
+// mid-campaign leaves every completed cell in the shared cache and
+// refuses new submissions; rerunning the spec over that cache serves
+// those cells from it and yields an artifact byte-identical to an
+// uninterrupted run.
+func TestGracefulShutdownCachesCompletedCells(t *testing.T) {
+	c := cache.NewMemory()
+	srv, ts, id := shutdownAfterFirstCell(t, c)
+	defer ts.Close()
+	t.Logf("interrupted campaign: %s", srv.campaigns[id].statusLine())
 
 	// New submissions must be refused.
-	post, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(big))
+	post, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(restartSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,27 +344,21 @@ func TestGracefulShutdownCheckpointsInFlight(t *testing.T) {
 	if post.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit after shutdown = %d, want 503", post.StatusCode)
 	}
+	if c.Len() == 0 {
+		t.Fatal("cache empty after graceful shutdown")
+	}
 
-	spec, err := campaign.LoadSpec(strings.NewReader(big))
+	spec, err := campaign.LoadSpec(strings.NewReader(restartSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(ckptDir, campaign.SpecHash(spec)+".ckpt")
-	cp, err := campaign.LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatalf("no checkpoint after graceful shutdown: %v", err)
-	}
-	if err := cp.Validate(spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Results) == 0 {
-		t.Fatal("checkpoint recorded no completed jobs")
-	}
-	t.Logf("shutdown checkpointed %d/%d jobs", len(cp.Results), jobs)
-
-	resumed, err := campaign.ResumeSpec(context.Background(), spec, cp, campaign.Config{Workers: 2})
+	resumed, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2, Cache: c})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resumed.CacheHits == 0 || resumed.Executed+resumed.CacheHits != resumed.Jobs {
+		t.Errorf("rerun: %d executed + %d from cache, want %d jobs with hits > 0",
+			resumed.Executed, resumed.CacheHits, resumed.Jobs)
 	}
 	uninterrupted, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2})
 	if err != nil {
@@ -343,46 +378,57 @@ func TestGracefulShutdownCheckpointsInFlight(t *testing.T) {
 
 // TestServerResumesAcrossRestart: a daemon that shut down mid-campaign
 // resumes the work when the same spec is submitted to a fresh server
-// sharing the checkpoint directory.
+// sharing the cache — its completion log reports the cells served from
+// the cache, and its artifact is byte-identical to an uninterrupted run.
 func TestServerResumesAcrossRestart(t *testing.T) {
-	ckptDir := t.TempDir()
-	spec3 := `{"name":"restart","adversaries":["random-tree"],"ns":[64],"trials":1500,"seed":8}`
-
-	srv1 := New(Options{Workers: 1, CheckpointDir: ckptDir})
-	ts1 := httptest.NewServer(srv1)
-	id, jobs := submit(t, ts1, spec3)
-	resp, err := http.Get(ts1.URL + "/campaigns/" + id + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatal("no stream output")
-	}
-	resp.Body.Close()
-	ctx, cancelWait := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelWait()
-	if err := srv1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	c := cache.NewMemory()
+	_, ts1, _ := shutdownAfterFirstCell(t, c)
 	ts1.Close()
 
-	var resumedJobs int
-	srv2 := New(Options{Workers: 2, CheckpointDir: ckptDir, Logf: func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		if strings.Contains(line, "resuming") {
-			fmt.Sscanf(line[strings.Index(line, "resuming"):], "resuming %d jobs", &resumedJobs)
+	var (
+		logMu     sync.Mutex
+		cacheHits = -1
+		doneLine  = regexp.MustCompile(`: done \(.*, (\d+) from cache,`)
+	)
+	srv2 := New(Options{Workers: 2, Cache: c, Logf: func(format string, args ...any) {
+		if m := doneLine.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+			logMu.Lock()
+			cacheHits, _ = strconv.Atoi(m[1])
+			logMu.Unlock()
 		}
 	}})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	id2, _ := submit(t, ts2, spec3)
+	id2, jobs := submit(t, ts2, restartSpec)
 	v := waitDone(t, ts2, id2)
 	if v.Status != "done" || v.Completed != jobs {
 		t.Fatalf("restarted campaign: %+v", v)
 	}
-	if resumedJobs == 0 {
-		t.Error("second server did not resume from the checkpoint")
+	ctx, cancelWait := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelWait()
+	if err := srv2.Shutdown(ctx); err != nil { // waits for the completion log
+		t.Fatal(err)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if cacheHits <= 0 {
+		t.Errorf("restarted server's completion log reports %d jobs from cache, want > 0", cacheHits)
+	}
+
+	spec, err := campaign.LoadSpec(strings.NewReader(restartSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uninterrupted, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := uninterrupted.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(artifactOf(t, srv2, id2), want.Bytes()) {
+		t.Error("restarted server's artifact differs from uninterrupted run")
 	}
 }
 

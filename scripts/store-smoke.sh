@@ -4,8 +4,11 @@
 # page (curl and the results CLI), check that a cache-warm re-run diffs
 # empty against the original, then restart the daemon over the same
 # warehouse with a tiny byte budget and a pin and check that GC reclaims
-# cell bytes without losing the queryable stats. Everything runs on
-# loopback with ephemeral state under mktemp.
+# cell bytes without losing the queryable stats. Finally, SIGKILL a
+# cache-backed cmd/campaign run mid-grid and check that rerunning the
+# identical command resumes from the cell cache to a byte-identical
+# artifact. Everything runs on loopback with ephemeral state under
+# mktemp.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,9 +16,11 @@ cd "$(dirname "$0")/.."
 ADDR="127.0.0.1:18082"
 WORK="$(mktemp -d)"
 DAEMON_PID=""
+CAMPAIGN_PID=""
 
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
+  [ -n "$CAMPAIGN_PID" ] && kill -9 "$CAMPAIGN_PID" 2>/dev/null || true
   wait 2>/dev/null || true
   rm -rf "$WORK"
 }
@@ -24,6 +29,7 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$WORK/campaignd" ./cmd/campaignd
 go build -o "$WORK/results" ./cmd/results
+go build -o "$WORK/campaign" ./cmd/campaign
 
 wait_for() { # url, tries
   for _ in $(seq 1 "$2"); do
@@ -150,5 +156,36 @@ grep -E "^$ID\s.*\strue\s" "$WORK/campaigns.txt" >/dev/null || {
   cat "$WORK/campaigns.txt" >&2
   exit 1
 }
+
+echo "== SIGKILL a cache-backed campaign mid-grid, rerun the identical command"
+# One worker walks the cells in order: the n=8 cell lands in the cache
+# within milliseconds, the larger cells keep the run busy for about a
+# second after it.
+GRID=(-adversaries random-tree,random-path -ns 8,256,512 -trials 1000 -seed 3 -workers 1 -format json)
+cache_entries() { find "$1" -type f ! -name '.*' 2>/dev/null | wc -l; }
+"$WORK/campaign" "${GRID[@]}" -cache "$WORK/cells" -out "$WORK/resumed.json" 2>/dev/null &
+CAMPAIGN_PID=$!
+for _ in $(seq 1 500); do
+  [ "$(cache_entries "$WORK/cells")" -ge 1 ] && break
+  sleep 0.01
+done
+[ "$(cache_entries "$WORK/cells")" -ge 1 ] || { echo "no cache entry appeared before the kill" >&2; exit 1; }
+kill -9 "$CAMPAIGN_PID" || { echo "campaign finished before the kill" >&2; exit 1; }
+wait "$CAMPAIGN_PID" 2>/dev/null || true
+CAMPAIGN_PID=""
+echo "   killed with $(cache_entries "$WORK/cells") cells cached"
+"$WORK/campaign" "${GRID[@]}" -cache "$WORK/cells" -out "$WORK/resumed.json" 2>"$WORK/resume.err"
+"$WORK/campaign" "${GRID[@]}" -cache "$WORK/fresh-cells" -out "$WORK/fresh.json" 2>/dev/null
+cmp "$WORK/resumed.json" "$WORK/fresh.json" || {
+  echo "resumed artifact differs from an uninterrupted run" >&2
+  exit 1
+}
+FROM_CACHE=$(sed -n 's/.* \([0-9]*\) from cache$/\1/p' "$WORK/resume.err")
+[ "${FROM_CACHE:-0}" -gt 0 ] || {
+  echo "resumed run served nothing from the cache:" >&2
+  cat "$WORK/resume.err" >&2
+  exit 1
+}
+echo "   $(cat "$WORK/resume.err")"
 
 echo "store smoke OK"
