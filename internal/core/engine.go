@@ -64,7 +64,6 @@ type Engine struct {
 	block *bitset.Block // n×n packed rows: row y = K_y
 	heard []*bitset.Set // heard[y] aliases block row y
 	inter *bitset.Set   // ⋂_y K_y, maintained per round
-	ord   tree.DepthOrder
 	// fullPrefix is the count of leading rows known full. Rows only gain
 	// bits, so fullness is monotone and the cursor never moves back; it
 	// amortizes the GossipDone scan and short-circuits the intersection
@@ -173,15 +172,15 @@ func (e *Engine) Step(t *tree.Tree) {
 		panic(fmt.Sprintf("core: tree on %d vertices for engine of %d processes", t.N(), e.n))
 	}
 	parents := t.Parents()
-	// Applying in child-before-parent order guarantees each K_parent read
-	// is the pre-round value: a node is always processed before its parent,
-	// so no row is read after being written this round. This keeps the
-	// update single-hop per round (no intra-round cascade) without double
+	// Applying in the tree's child-before-parent order (Tree.Order, written
+	// once by whoever built the tree) guarantees each K_parent read is the
+	// pre-round value: a node is always processed before its parent, so no
+	// row is read after being written this round. This keeps the update
+	// single-hop per round (no intra-round cascade) without double
 	// buffering.
-	order := e.ord.Fill(parents)
 	stride := e.block.Stride()
 	words := e.block.Words()
-	for _, y := range order {
+	for _, y := range t.Order() {
 		p := parents[y]
 		if p == y {
 			continue

@@ -343,13 +343,15 @@ func TestGoalString(t *testing.T) {
 
 func TestDeepestFirstOrderProperty(t *testing.T) {
 	// Every vertex must appear before its parent in the application order
-	// Step uses (the engine's tree.DepthOrder scratch).
+	// Step uses (the order the tree carries, tree.Tree.Order).
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		n := 2 + src.Intn(30)
-		e := NewEngine(n)
 		tr := tree.Random(n, src)
-		order := e.ord.Fill(tr.Parents())
+		order := tr.Order()
+		if len(order) != n || order[n-1] != tr.Root() {
+			return false
+		}
 		pos := make([]int, n)
 		for i, v := range order {
 			pos[v] = i

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"dyntreecast/internal/bitset"
@@ -25,7 +26,8 @@ import (
 // scalarRef is the reference engine: heard[y][x] reports x ∈ K_y, updated
 // by copying the whole state and applying K_y ← K_y ∪ K_parent(y) per bit
 // against the copy. Nothing here shares code with Engine, MatrixEngine,
-// bitset, or tree.DepthOrder, so agreement is evidence, not tautology.
+// bitset, tree.DepthOrder or the orders trees carry (tree.Tree.Order), so
+// agreement is evidence, not tautology.
 type scalarRef struct {
 	n     int
 	heard [][]bool
@@ -113,6 +115,7 @@ func diffBudget(n int) int { return 5*n/2 + 16 }
 
 func TestPackedEnginesMatchScalarReference(t *testing.T) {
 	for _, gen := range scheduleGens() {
+		stalls := gen.name == "identity-path" || gen.name == "ascending-heard-path"
 		for _, n := range diffSizes() {
 			seeds := []uint64{1, 2}
 			if n >= 100 {
@@ -120,64 +123,120 @@ func TestPackedEnginesMatchScalarReference(t *testing.T) {
 			}
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/n%d/seed%d", gen.name, n, seed), func(t *testing.T) {
-					src := rng.New(seed*10007 + uint64(n))
-					eng := NewEngine(n)
-					mat := NewMatrixEngine(n)
-					ref := newScalarRef(n)
-
-					stride := bitset.WordsFor(n)
-					want := make([]uint64, stride)
-					budget := diffBudget(n)
-					broadcastRound := -1
-					for round := 1; round <= budget; round++ {
-						tr := gen.next(eng, src, n)
-						eng.Step(tr)
-						mat.Step(tr)
-						ref.Step(tr)
-
-						// Per-round heard-set equality, word-exact, for every
-						// process: reference vs packed Engine rows and vs the
-						// MatrixEngine's columns.
-						for y := 0; y < n; y++ {
-							ref.packRow(y, want)
-							if !bitset.EqualWords(eng.Heard(y).Words(), want) {
-								t.Fatalf("round %d: Engine K_%d = %v, reference %v",
-									round, y, eng.Heard(y), bitset.Wrap(n, want))
-							}
-							if got := mat.Heard(y); !bitset.EqualWords(got.Words(), want) {
-								t.Fatalf("round %d: MatrixEngine K_%d = %v, reference %v",
-									round, y, got, bitset.Wrap(n, want))
-							}
-						}
-
-						// Per-round goal predicates across all three.
-						wb, wg := ref.BroadcastDone(), ref.GossipDone()
-						if eb, eg := eng.BroadcastDone(), eng.GossipDone(); eb != wb || eg != wg {
-							t.Fatalf("round %d: Engine (broadcast=%v gossip=%v), reference (%v %v)",
-								round, eb, eg, wb, wg)
-						}
-						if mb, mg := mat.BroadcastDone(), mat.GossipDone(); mb != wb || mg != wg {
-							t.Fatalf("round %d: MatrixEngine (broadcast=%v gossip=%v), reference (%v %v)",
-								round, mb, mg, wb, wg)
-						}
-
-						if wb && broadcastRound < 0 {
-							broadcastRound = round
-						}
-						if wg {
-							return // all goals reached in agreement
-						}
-						if wb && (gen.name == "identity-path" || gen.name == "ascending-heard-path") {
-							return // deterministic stallers never gossip
-						}
-					}
-					if broadcastRound < 0 {
-						t.Fatalf("broadcast incomplete after %d rounds (budget too small for %s at n=%d)",
-							budget, gen.name, n)
-					}
+					lockstepScalar(t, gen, n, rng.New(seed*10007+uint64(n)), stalls)
 				})
 			}
 		}
+	}
+}
+
+// TestEngineTrustsGeneratorOrders adds the in-place generators to the
+// battery. Engine applies a round along whatever order the tree carries,
+// and these trees come straight from a reused tree.Buf whose generators
+// write that order themselves, so each row pins one generator's order
+// against the reference, which orders nothing.
+func TestEngineTrustsGeneratorOrders(t *testing.T) {
+	var buf tree.Buf
+	var perm []int
+	gens := []struct {
+		gen    scheduleGen
+		stalls bool
+	}{
+		{scheduleGen{"random-tree-into", func(_ View, src *rng.Source, n int) *tree.Tree {
+			return tree.RandomInto(&buf, n, src)
+		}}, false},
+		{scheduleGen{"random-path-into", func(_ View, src *rng.Source, n int) *tree.Tree {
+			return tree.RandomPathInto(&buf, n, src)
+		}}, false},
+		{scheduleGen{"k-leaves-into", func(_ View, src *rng.Source, n int) *tree.Tree {
+			tr, err := tree.RandomWithLeavesInto(&buf, n, max(1, min(4, n-1)), src)
+			if err != nil {
+				panic(err)
+			}
+			return tr
+		}}, false},
+		{scheduleGen{"ascending-heard-path-into", func(v View, _ *rng.Source, n int) *tree.Tree {
+			// The ascending-path heuristic's construction: the path
+			// ordered by ascending heard-set size (ties by id).
+			perm = tree.Grow(&perm, n)
+			for i := range perm {
+				perm[i] = i
+			}
+			sort.SliceStable(perm, func(a, b int) bool {
+				return v.Heard(perm[a]).Count() < v.Heard(perm[b]).Count()
+			})
+			return tree.PathInto(&buf, perm)
+		}}, true},
+	}
+	for _, g := range gens {
+		for _, n := range []int{1, 2, 63, 64, 65, 200} {
+			t.Run(fmt.Sprintf("%s/n%d", g.gen.name, n), func(t *testing.T) {
+				lockstepScalar(t, g.gen, n, rng.New(uint64(n)*7919+1), g.stalls)
+			})
+		}
+	}
+}
+
+// lockstepScalar drives gen's schedule through Engine, MatrixEngine and
+// scalarRef in lockstep and pins per-round heard-set equality and the
+// broadcast/gossip predicates across all three. It stops once gossip
+// holds, or once broadcast holds for a staller (a schedule that never
+// gossips), and fails if broadcast misses the budget.
+func lockstepScalar(t *testing.T, gen scheduleGen, n int, src *rng.Source, stalls bool) {
+	t.Helper()
+	eng := NewEngine(n)
+	mat := NewMatrixEngine(n)
+	ref := newScalarRef(n)
+
+	stride := bitset.WordsFor(n)
+	want := make([]uint64, stride)
+	budget := diffBudget(n)
+	broadcastRound := -1
+	for round := 1; round <= budget; round++ {
+		tr := gen.next(eng, src, n)
+		eng.Step(tr)
+		mat.Step(tr)
+		ref.Step(tr)
+
+		// Per-round heard-set equality, word-exact, for every process:
+		// reference vs packed Engine rows and vs the MatrixEngine's
+		// columns.
+		for y := 0; y < n; y++ {
+			ref.packRow(y, want)
+			if !bitset.EqualWords(eng.Heard(y).Words(), want) {
+				t.Fatalf("round %d: Engine K_%d = %v, reference %v",
+					round, y, eng.Heard(y), bitset.Wrap(n, want))
+			}
+			if got := mat.Heard(y); !bitset.EqualWords(got.Words(), want) {
+				t.Fatalf("round %d: MatrixEngine K_%d = %v, reference %v",
+					round, y, got, bitset.Wrap(n, want))
+			}
+		}
+
+		// Per-round goal predicates across all three.
+		wb, wg := ref.BroadcastDone(), ref.GossipDone()
+		if eb, eg := eng.BroadcastDone(), eng.GossipDone(); eb != wb || eg != wg {
+			t.Fatalf("round %d: Engine (broadcast=%v gossip=%v), reference (%v %v)",
+				round, eb, eg, wb, wg)
+		}
+		if mb, mg := mat.BroadcastDone(), mat.GossipDone(); mb != wb || mg != wg {
+			t.Fatalf("round %d: MatrixEngine (broadcast=%v gossip=%v), reference (%v %v)",
+				round, mb, mg, wb, wg)
+		}
+
+		if wb && broadcastRound < 0 {
+			broadcastRound = round
+		}
+		if wg {
+			return // all goals reached in agreement
+		}
+		if wb && stalls {
+			return // stallers never gossip
+		}
+	}
+	if broadcastRound < 0 {
+		t.Fatalf("broadcast incomplete after %d rounds (budget too small for %s at n=%d)",
+			budget, gen.name, n)
 	}
 }
 

@@ -1,14 +1,18 @@
 package tree
 
 // DepthOrder is reusable scratch for computing child-before-parent vertex
-// orders from a parent array. Both round engines need such an order to
-// apply a round in place: writing K_y (or the transposed word-column y)
-// before any child reads it would leak post-round state into the round, so
-// every vertex must be processed before its parent. A reverse breadth-first
-// traversal over child buckets gives exactly that with four sequential
-// passes — no per-vertex up-walks — and the zero value is ready to use; the
-// scratch grows to the largest n seen and is reused across calls, so steady
-// state allocates nothing.
+// orders from a parent array. Applying a round in place needs such an
+// order: writing K_y (or the transposed word-column y) before any child
+// reads it would leak post-round state into the round, so every vertex
+// must be processed before its parent. Its users are the Tree
+// constructors, which record the order Tree.Order returns (the in-place
+// generators write theirs directly); boolmat's ApplyTree, which keeps its
+// own pass so the MatrixEngine oracle does not trust a tree's order; and
+// the benchmark's per-round ordering probe. A reverse breadth-first
+// traversal over child buckets gives the order with four sequential
+// passes — no per-vertex up-walks — and the zero value is ready to use;
+// the scratch grows to the largest n seen and is reused across calls, so
+// steady state allocates nothing.
 type DepthOrder struct {
 	order []int
 	cnt   []int

@@ -32,6 +32,18 @@ func checkChildBeforeParent(t *testing.T, tr *Tree, order []int) {
 	}
 }
 
+// checkOrder verifies the Order contract on one tree: the order it
+// carries is a child-before-parent permutation of [0,n) ending at the
+// root.
+func checkOrder(t *testing.T, tr *Tree) {
+	t.Helper()
+	order := tr.Order()
+	checkChildBeforeParent(t, tr, order)
+	if n := tr.N(); n > 0 && order[n-1] != tr.Root() {
+		t.Fatalf("order %v of %v does not end at the root", order, tr)
+	}
+}
+
 func TestDepthOrderFamilies(t *testing.T) {
 	var o DepthOrder
 	trees := []*Tree{

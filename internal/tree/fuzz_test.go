@@ -2,6 +2,7 @@ package tree
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -9,10 +10,11 @@ import (
 // behind uniform random tree generation and exhaustive enumeration. The
 // pinned properties: arbitrary (sequence, n, root) input never panics;
 // every accepted input yields a structurally valid rooted tree on n
-// vertices with the requested root; and the decode inverts the encode
-// (Prufer ∘ FromPrufer = id), which together with the validity of New
-// re-checking the parent array pins the bijection the n^(n−1) counting
-// arguments rely on.
+// vertices with the requested root, whose parent array matches the
+// frozen reference decoder and whose Order meets its contract; and the
+// decode inverts the encode (Prufer ∘ FromPrufer = id), which together
+// with the validity of New re-checking the parent array pins the
+// bijection the n^(n−1) counting arguments rely on.
 func FuzzFromPrufer(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(0))              // singleton
 	f.Add([]byte{}, uint8(2), uint8(1))              // the n=2 edge (empty sequence)
@@ -40,9 +42,16 @@ func FuzzFromPrufer(f *testing.F) {
 		if n >= 1 && tr.Root() != root {
 			t.Fatalf("FromPrufer(%v, %d, %d).Root() = %d", seq, n, root, tr.Root())
 		}
-		// The parent array must satisfy every invariant New enforces.
+		// The parent array must satisfy every invariant New enforces, and
+		// the order the tree carries must meet the Order contract.
 		if _, err := New(tr.Parents()); err != nil {
 			t.Fatalf("FromPrufer(%v, %d, %d) produced an invalid tree: %v", seq, n, root, err)
+		}
+		checkOrder(t, tr)
+		// The decoder agrees bit for bit with the frozen reference.
+		if n >= 2 && !slices.Equal(tr.Parents(), refDecodePrufer(seq, n, root)) {
+			t.Fatalf("FromPrufer(%v, %d, %d) = %v, reference decoder %v",
+				seq, n, root, tr.Parents(), refDecodePrufer(seq, n, root))
 		}
 		// Decode inverts encode (the bijection), except that n ≤ 2 has a
 		// single unrooted tree and an always-empty sequence.

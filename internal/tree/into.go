@@ -14,10 +14,13 @@ import (
 // consume random streams identically and campaigns stay byte-for-byte
 // reproducible whichever path runs them.
 
-// Buf is a reusable tree buffer: the parent array of the generated tree
-// plus the scratch the generators need (Prüfer decoding, permutation and
-// adjacency workspaces). Buffers grow to the largest n seen and are reused
-// across calls, so a warm Buf generates trees with zero allocations.
+// Buf is a reusable tree buffer: the parent array and child-before-parent
+// order of the generated tree, plus the scratch the generators need (the
+// Prüfer sequence and degrees, a permutation, skeleton leaves and a
+// mark array). Every generator writes the order it already knows while
+// building the tree, so no consumer recomputes one. Buffers grow to the
+// largest n seen and are reused across calls, so a warm Buf generates
+// trees with zero allocations.
 //
 // The *Tree returned by a ...Into call aliases the Buf: it is valid only
 // until the Buf's next generation, and callers must neither mutate nor
@@ -28,8 +31,8 @@ import (
 type Buf struct {
 	t Tree
 	// generator scratch
-	seq, deg, eu, ev, off, cur, tgt, queue, order, sl []int
-	mark                                              []bool
+	seq, deg, perm, sl []int
+	mark               []bool
 }
 
 // Tree returns the most recently generated tree (nil parent array before
@@ -52,9 +55,13 @@ func Grow[T any](p *[]T, n int) []T {
 // parentBuf returns b's parent array resized to n.
 func (b *Buf) parentBuf(n int) []int { return Grow(&b.t.parent, n) }
 
+// orderBuf returns b's child-before-parent order resized to n.
+func (b *Buf) orderBuf(n int) []int { return Grow(&b.t.order, n) }
+
 // single resets b to the one-vertex tree.
 func (b *Buf) single() *Tree {
 	b.parentBuf(1)[0] = 0
+	b.orderBuf(1)[0] = 0
 	b.t.root = 0
 	return &b.t
 }
@@ -78,10 +85,16 @@ func RandomInto(b *Buf, n int, src *rng.Source) *Tree {
 }
 
 // decodePrufer decodes a Prüfer sequence and roots the tree at root,
-// writing into b. It mirrors FromPrufer's algorithm step for step — same
-// edge order, same BFS orientation — so the two produce identical parent
-// arrays; inputs must already be validated (every symbol and root in
-// [0,n), len(seq) == n−2, n >= 2).
+// writing the parent array and its child-before-parent order into b.
+// Inputs must already be validated (every symbol and root in [0,n),
+// len(seq) == n−2, n >= 2).
+//
+// Leaf elimination links each removed leaf straight to its sequence
+// symbol, which roots the tree at the last surviving vertex and makes the
+// elimination order child-before-parent for that rooting. Re-rooting at
+// root only reverses the root→last path, so the order becomes the
+// off-path vertices in elimination order followed by the path
+// deepest-first. FromPrufer decodes through this method too.
 func (b *Buf) decodePrufer(seq []int, n, root int) {
 	deg := Grow(&b.deg, n)
 	for i := range deg {
@@ -90,17 +103,16 @@ func (b *Buf) decodePrufer(seq []int, n, root int) {
 	for _, s := range seq {
 		deg[s]++
 	}
-	// Classic O(n) decoding into an edge list (eu[i], ev[i]).
-	eu, ev := Grow(&b.eu, n-1), Grow(&b.ev, n-1)
+	parent := b.parentBuf(n)
+	order := b.orderBuf(n)
 	ptr := 0
 	for deg[ptr] != 1 {
 		ptr++
 	}
 	leaf := ptr
-	ne := 0
-	for _, s := range seq {
-		eu[ne], ev[ne] = leaf, s
-		ne++
+	for i, s := range seq {
+		parent[leaf] = s
+		order[i] = leaf
 		deg[leaf]-- // consumed; degree drops to 0 so later scans skip it
 		deg[s]--
 		if deg[s] == 1 && s < ptr {
@@ -113,62 +125,36 @@ func (b *Buf) decodePrufer(seq []int, n, root int) {
 			leaf = ptr
 		}
 	}
-	// Two vertices of degree 1 remain; one is leaf, the other is the last
-	// unconsumed one.
-	last := -1
-	for v := n - 1; v >= 0; v-- {
-		if v != leaf && deg[v] == 1 {
-			last = v
-			break
+	// Two vertices remain: leaf and the last survivor, which roots the
+	// tree as decoded so far. The survivor is always n−1: every step
+	// removes the smallest of at least two leaves, never the largest
+	// label.
+	last := n - 1
+	parent[leaf] = last
+	parent[last] = last
+	order[n-2], order[n-1] = leaf, last
+
+	// Mark the root→last path (deg is spent scratch by now), then keep
+	// the off-path vertices in elimination order.
+	for v := root; v != last; v = parent[v] {
+		deg[v] = -1
+	}
+	deg[last] = -1
+	w := 0
+	for _, v := range order {
+		if deg[v] != -1 {
+			order[w] = v
+			w++
 		}
 	}
-	eu[ne], ev[ne] = leaf, last
-	ne++
-
-	// Undirected adjacency in CSR form, filled in edge order so every
-	// vertex sees its neighbors in the same order FromPrufer's appends
-	// produce them.
-	off := Grow(&b.off, n+1)
-	for i := range off {
-		off[i] = 0
-	}
-	for i := 0; i < ne; i++ {
-		off[eu[i]+1]++
-		off[ev[i]+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	cur := Grow(&b.cur, n)
-	copy(cur, off[:n])
-	tgt := Grow(&b.tgt, 2*ne)
-	for i := 0; i < ne; i++ {
-		u, v := eu[i], ev[i]
-		tgt[cur[u]] = v
-		cur[u]++
-		tgt[cur[v]] = u
-		cur[v]++
-	}
-
-	// Orient away from root by BFS.
-	parent := b.parentBuf(n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[root] = root
-	queue := Grow(&b.queue, n)
-	queue[0] = root
-	qh, qt := 0, 1
-	for qh < qt {
-		u := queue[qh]
-		qh++
-		for j := off[u]; j < off[u+1]; j++ {
-			if v := tgt[j]; parent[v] == -1 {
-				parent[v] = u
-				queue[qt] = v
-				qt++
-			}
-		}
+	// Reverse the path so it hangs from root, writing it deepest-first
+	// behind the off-path vertices: v_i at depth i lands at n−1−i.
+	prev, v := root, root
+	for i := n - 1; i >= w; i-- {
+		next := parent[v]
+		parent[v] = prev
+		order[i] = v
+		prev, v = v, next
 	}
 	b.t.root = root
 }
@@ -181,6 +167,7 @@ func PathInto(b *Buf, order []int) *Tree {
 	n := len(order)
 	if n == 0 {
 		b.t.parent = b.t.parent[:0]
+		b.t.order = b.t.order[:0]
 		b.t.root = 0
 		return &b.t
 	}
@@ -199,6 +186,11 @@ func PathInto(b *Buf, order []int) *Tree {
 	for i := 1; i < n; i++ {
 		parent[order[i]] = order[i-1]
 	}
+	// The reversed path lists every vertex right before its parent.
+	ord := b.orderBuf(n)
+	for i, v := range order {
+		ord[n-1-i] = v
+	}
 	b.t.root = order[0]
 	return &b.t
 }
@@ -207,12 +199,12 @@ func PathInto(b *Buf, order []int) *Tree {
 // permutation into b — same distribution and stream consumption as
 // RandomPath, which wraps it.
 func RandomPathInto(b *Buf, n int, src *rng.Source) *Tree {
-	order := Grow(&b.order, n)
-	for i := range order {
-		order[i] = i
+	perm := Grow(&b.perm, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	src.Shuffle(order)
-	return PathInto(b, order)
+	src.Shuffle(perm)
+	return PathInto(b, perm)
 }
 
 // RandomWithLeavesInto generates a random rooted tree on n vertices with
@@ -232,7 +224,7 @@ func RandomWithLeavesInto(b *Buf, n, k int, src *rng.Source) (*Tree, error) {
 		return nil, fmt.Errorf("%w: n=%d needs 1 <= k <= %d leaves, got %d", ErrInvalidTree, n, n-1, k)
 	}
 	m := n - k // inner vertex count, >= 1
-	perm := Grow(&b.order, n)
+	perm := Grow(&b.perm, n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -294,6 +286,14 @@ func RandomWithLeavesInto(b *Buf, n, k int, src *rng.Source) (*Tree, error) {
 		} else {
 			parent[v] = inner[src.Intn(m)]
 		}
+	}
+	// Leaves hang from inner vertices, and every skeleton parent has a
+	// lower index in inner than its child, so the leaves followed by the
+	// inner vertices in reverse list every vertex before its parent.
+	ord := b.orderBuf(n)
+	copy(ord, leaves)
+	for i, v := range inner {
+		ord[n-1-i] = v
 	}
 	b.t.root = inner[0]
 	return &b.t, nil

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"testing"
 
 	"dyntreecast/internal/rng"
@@ -146,6 +147,11 @@ func TestRandomIntoAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { RandomPathInto(&b, 64, src) }); allocs > 0 {
 		t.Errorf("warm RandomPathInto allocates %.1f objects/run, want 0", allocs)
 	}
+	perm := src.Perm(64)
+	PathInto(&b, perm)
+	if allocs := testing.AllocsPerRun(50, func() { PathInto(&b, perm) }); allocs > 0 {
+		t.Errorf("warm PathInto allocates %.1f objects/run, want 0", allocs)
+	}
 	if _, err := RandomWithLeavesInto(&b, 64, 4, src); err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +161,141 @@ func TestRandomIntoAllocs(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("warm RandomWithLeavesInto allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// refDecodePrufer is the frozen reference decoder: the earlier
+// edge-list → CSR adjacency → BFS implementation, kept verbatim in logic
+// (allocating instead of reusing a Buf). Buf.decodePrufer must produce
+// the same parent array for every input; TestRandomIntoMatchesRandom
+// cannot catch a decoder change because both of its sides decode through
+// Buf.decodePrufer.
+func refDecodePrufer(seq []int, n, root int) []int {
+	deg := make([]int, n)
+	for i := range deg {
+		deg[i] = 1
+	}
+	for _, s := range seq {
+		deg[s]++
+	}
+	// Classic O(n) decoding into an edge list (eu[i], ev[i]).
+	eu, ev := make([]int, n-1), make([]int, n-1)
+	ptr := 0
+	for deg[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
+	ne := 0
+	for _, s := range seq {
+		eu[ne], ev[ne] = leaf, s
+		ne++
+		deg[leaf]--
+		deg[s]--
+		if deg[s] == 1 && s < ptr {
+			leaf = s
+		} else {
+			ptr++
+			for deg[ptr] != 1 {
+				ptr++
+			}
+			leaf = ptr
+		}
+	}
+	last := -1
+	for v := n - 1; v >= 0; v-- {
+		if v != leaf && deg[v] == 1 {
+			last = v
+			break
+		}
+	}
+	eu[ne], ev[ne] = leaf, last
+	ne++
+
+	// Undirected adjacency in CSR form, filled in edge order.
+	off := make([]int, n+1)
+	for i := 0; i < ne; i++ {
+		off[eu[i]+1]++
+		off[ev[i]+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	cur := make([]int, n)
+	copy(cur, off[:n])
+	tgt := make([]int, 2*ne)
+	for i := 0; i < ne; i++ {
+		u, v := eu[i], ev[i]
+		tgt[cur[u]] = v
+		cur[u]++
+		tgt[cur[v]] = u
+		cur[v]++
+	}
+
+	// Orient away from root by BFS.
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[root] = root
+	queue := []int{root}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for j := off[u]; j < off[u+1]; j++ {
+			if v := tgt[j]; parent[v] == -1 {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return parent
+}
+
+// checkDecodeMatchesRef decodes (seq, root) through b and fails unless the
+// parent array is bit-identical to the frozen reference's and the order
+// meets the Order contract.
+func checkDecodeMatchesRef(t *testing.T, b *Buf, seq []int, n, root int) {
+	t.Helper()
+	b.decodePrufer(seq, n, root)
+	want := refDecodePrufer(seq, n, root)
+	if !slices.Equal(b.t.parent, want) || b.t.root != root {
+		t.Fatalf("decodePrufer(%v, %d, %d) = %v (root %d), reference %v",
+			seq, n, root, b.t.parent, b.t.root, want)
+	}
+	checkOrder(t, &b.t)
+}
+
+// TestDecodePruferMatchesFrozenReference: exhaustively over every
+// (sequence, root) at n ≤ 7, then over 10⁴ random sequences at n up to
+// 1024, the leaf-elimination decoder reproduces the reference decoder's
+// parent arrays bit for bit, through one Buf reused across all sizes.
+func TestDecodePruferMatchesFrozenReference(t *testing.T) {
+	var b Buf
+	for n := 2; n <= 7; n++ {
+		seq := make([]int, n-2)
+		for {
+			for root := 0; root < n; root++ {
+				checkDecodeMatchesRef(t, &b, seq, n, root)
+			}
+			i := len(seq) - 1
+			for ; i >= 0; i-- {
+				if seq[i]++; seq[i] < n {
+					break
+				}
+				seq[i] = 0
+			}
+			if i < 0 {
+				break
+			}
+		}
+	}
+	src := rng.New(14)
+	for trial := 0; trial < 10000; trial++ {
+		n := 2 + src.Intn(1023)
+		seq := make([]int, n-2)
+		for i := range seq {
+			seq[i] = src.Intn(n)
+		}
+		checkDecodeMatchesRef(t, &b, seq, n, src.Intn(n))
 	}
 }

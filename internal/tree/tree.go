@@ -32,9 +32,23 @@ var ErrInvalidTree = errors.New("invalid rooted tree")
 // Construct with New (validating), one of the family constructors, or the
 // random/enumeration helpers. The zero value is the empty tree on zero
 // vertices.
+//
+// Every constructor also records a child-before-parent order of the
+// vertices (see Order), so consumers that apply a round in place never
+// recompute one.
 type Tree struct {
 	parent []int
 	root   int
+	order  []int
+}
+
+// newTree wraps a validated parent array and its root into a Tree, taking
+// ownership of parent and computing the child-before-parent order once.
+// It is the constructors' single ordering path; the in-place generators
+// (into.go) write the orders they already know instead.
+func newTree(parent []int, root int) *Tree {
+	var o DepthOrder
+	return &Tree{parent: parent, root: root, order: o.Fill(parent)}
 }
 
 // New builds a tree from a parent array. parent[i] is the parent of node i;
@@ -85,7 +99,7 @@ func New(parent []int) (*Tree, error) {
 	}
 	p := make([]int, n)
 	copy(p, parent)
-	return &Tree{parent: p, root: root}, nil
+	return newTree(p, root), nil
 }
 
 // MustNew is New but panics on error. For tests and literals.
@@ -114,6 +128,14 @@ func (t *Tree) Parent(v int) int { return t.parent[v] }
 // Parents returns the underlying parent array. The caller must not mutate
 // the returned slice; Tree is shared freely across engines.
 func (t *Tree) Parents() []int { return t.parent }
+
+// Order returns a permutation of the vertices in which every vertex comes
+// before its parent and the root comes last. core.Engine applies a round
+// in place along it: a vertex's row is updated before its parent's, so
+// every parent row read is still the pre-round value. Which such order
+// a tree carries depends on how it was built; Equal, Key and String
+// ignore it. The caller must not mutate the returned slice.
+func (t *Tree) Order() []int { return t.order }
 
 // Children returns, for each vertex, the slice of its children, computed in
 // O(n). The root is not a child of itself.
@@ -317,7 +339,7 @@ func Path(order []int) (*Tree, error) {
 	for i := 1; i < n; i++ {
 		parent[order[i]] = order[i-1]
 	}
-	return &Tree{parent: parent, root: order[0]}, nil
+	return newTree(parent, order[0]), nil
 }
 
 // MustPath is Path but panics on error.
@@ -351,7 +373,7 @@ func Star(n, root int) (*Tree, error) {
 	for i := range parent {
 		parent[i] = root
 	}
-	return &Tree{parent: parent, root: root}, nil
+	return newTree(parent, root), nil
 }
 
 // Broom returns a broom: a path through handle (root first) whose last
@@ -377,7 +399,7 @@ func Broom(handle, bristles []int) (*Tree, error) {
 	for _, b := range bristles {
 		parent[b] = last
 	}
-	return &Tree{parent: parent, root: handle[0]}, nil
+	return newTree(parent, handle[0]), nil
 }
 
 // Caterpillar returns a caterpillar: a path through spine (root first) with
@@ -409,7 +431,7 @@ func Caterpillar(spine []int, legs [][]int) (*Tree, error) {
 			parent[v] = spine[i]
 		}
 	}
-	return &Tree{parent: parent, root: spine[0]}, nil
+	return newTree(parent, spine[0]), nil
 }
 
 // Spider returns a spider: legs (vertex-disjoint paths) hanging from the
@@ -431,7 +453,7 @@ func Spider(root int, legs [][]int) (*Tree, error) {
 			prev = v
 		}
 	}
-	return &Tree{parent: parent, root: root}, nil
+	return newTree(parent, root), nil
 }
 
 // CompleteKAry returns the complete k-ary tree on n vertices in level
@@ -447,7 +469,7 @@ func CompleteKAry(n, k int) (*Tree, error) {
 	for i := 1; i < n; i++ {
 		parent[i] = (i - 1) / k
 	}
-	return &Tree{parent: parent, root: 0}, nil
+	return newTree(parent, 0), nil
 }
 
 func checkPerm(vs []int) error {
@@ -481,7 +503,7 @@ func FromPrufer(seq []int, n, root int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: root %d out of range [0,%d)", ErrInvalidTree, root, n)
 	}
 	if n == 1 {
-		return &Tree{parent: []int{0}, root: 0}, nil
+		return newTree([]int{0}, 0), nil
 	}
 	for _, s := range seq {
 		if s < 0 || s >= n {
@@ -549,13 +571,16 @@ func (t *Tree) Prufer() []int {
 	return seq
 }
 
-// detached returns a copy of t backed by exactly-sized private storage.
-// The allocating generator wrappers return detached trees so a retained
-// Tree never pins its generating Buf's O(n) scratch slices.
+// detached returns a copy of t, order included, backed by exactly-sized
+// private storage. The allocating generator wrappers return detached
+// trees so a retained Tree never pins its generating Buf's O(n) scratch
+// slices.
 func (t *Tree) detached() *Tree {
 	p := make([]int, len(t.parent))
 	copy(p, t.parent)
-	return &Tree{parent: p, root: t.root}
+	o := make([]int, len(t.order))
+	copy(o, t.order)
+	return &Tree{parent: p, root: t.root, order: o}
 }
 
 // Random returns a uniformly random rooted labeled tree on n vertices:

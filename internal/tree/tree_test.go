@@ -566,6 +566,93 @@ func TestPropertyDepthConsistentWithParent(t *testing.T) {
 	}
 }
 
+// TestOrderContract: every way to obtain a *Tree yields one whose Order
+// is a child-before-parent permutation ending at the root — the order
+// core.Engine applies rounds along without checking it.
+func TestOrderContract(t *testing.T) {
+	must := func(tr *Tree, err error) func() (*Tree, error) {
+		return func() (*Tree, error) { return tr, err }
+	}
+	var b Buf
+	src := rng.New(11)
+	cases := []struct {
+		name  string
+		build func() (*Tree, error)
+	}{
+		{"New/empty", func() (*Tree, error) { return New(nil) }},
+		{"New/single", func() (*Tree, error) { return New([]int{0}) }},
+		{"New/bushy", func() (*Tree, error) { return New([]int{3, 3, 0, 3, 2, 2, 4}) }},
+		{"MustNew", func() (*Tree, error) { return MustNew([]int{1, 1, 1, 0, 3}), nil }},
+		{"FromPrufer/n1", func() (*Tree, error) { return FromPrufer(nil, 1, 0) }},
+		{"FromPrufer/n2", func() (*Tree, error) { return FromPrufer(nil, 2, 1) }},
+		{"FromPrufer/n8", func() (*Tree, error) { return FromPrufer([]int{3, 3, 7, 0, 0, 5}, 8, 4) }},
+		{"Random/n1", func() (*Tree, error) { return Random(1, src), nil }},
+		{"Random/n97", func() (*Tree, error) { return Random(97, src), nil }},
+		{"RandomPath/n1", func() (*Tree, error) { return RandomPath(1, src), nil }},
+		{"RandomPath/n40", func() (*Tree, error) { return RandomPath(40, src), nil }},
+		{"RandomWithLeaves", func() (*Tree, error) { return RandomWithLeaves(30, 7, src) }},
+		{"RandomWithInner", func() (*Tree, error) { return RandomWithInner(30, 5, src) }},
+		{"Path/empty", must(Path(nil))},
+		{"Path", must(Path([]int{4, 2, 0, 3, 1}))},
+		{"MustPath", func() (*Tree, error) { return MustPath([]int{1, 0, 2}), nil }},
+		{"IdentityPath", func() (*Tree, error) { return IdentityPath(9), nil }},
+		{"Star/n1", must(Star(1, 0))},
+		{"Star", must(Star(9, 4))},
+		{"Broom", must(Broom([]int{5, 0, 2}, []int{1, 3, 4}))},
+		{"Caterpillar", must(Caterpillar([]int{2, 0, 4}, [][]int{{1}, nil, {3, 5}}))},
+		{"Spider", must(Spider(3, [][]int{{0, 1}, {2}, {4, 5, 6}}))},
+		{"CompleteKAry", must(CompleteKAry(31, 3))},
+		{"RandomInto/n1", func() (*Tree, error) { return RandomInto(&b, 1, src), nil }},
+		{"RandomInto/n2", func() (*Tree, error) { return RandomInto(&b, 2, src), nil }},
+		{"RandomInto/n64", func() (*Tree, error) { return RandomInto(&b, 64, src), nil }},
+		{"RandomPathInto/n1", func() (*Tree, error) { return RandomPathInto(&b, 1, src), nil }},
+		{"RandomPathInto/n33", func() (*Tree, error) { return RandomPathInto(&b, 33, src), nil }},
+		{"PathInto/n0", func() (*Tree, error) { return PathInto(&b, nil), nil }},
+		{"PathInto/n1", func() (*Tree, error) { return PathInto(&b, []int{0}), nil }},
+		{"PathInto", func() (*Tree, error) { return PathInto(&b, []int{3, 1, 4, 0, 2}), nil }},
+		{"RandomWithLeavesInto/n1", func() (*Tree, error) { return RandomWithLeavesInto(&b, 1, 1, src) }},
+		{"RandomWithLeavesInto/k1", func() (*Tree, error) { return RandomWithLeavesInto(&b, 20, 1, src) }},
+		{"RandomWithLeavesInto/k19", func() (*Tree, error) { return RandomWithLeavesInto(&b, 20, 19, src) }},
+		{"RandomWithInnerInto/n1", func() (*Tree, error) { return RandomWithInnerInto(&b, 1, 0, src) }},
+		{"RandomWithInnerInto", func() (*Tree, error) { return RandomWithInnerInto(&b, 50, 6, src) }},
+	}
+	for _, c := range cases {
+		tr, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Run(c.name, func(t *testing.T) { checkOrder(t, tr) })
+	}
+
+	// Enumerate builds through FromPrufer and MustNew.
+	for n := 1; n <= 5; n++ {
+		Enumerate(n, func(tr *Tree) bool {
+			checkOrder(t, tr)
+			return true
+		})
+	}
+
+	// One Buf reused across shrinking and growing n by every generator.
+	var r Buf
+	for _, n := range []int{40, 3, 1, 17, 2, 64, 5} {
+		checkOrder(t, RandomInto(&r, n, src))
+		checkOrder(t, RandomPathInto(&r, n, src))
+		checkOrder(t, PathInto(&r, src.Perm(n)))
+		k := max(1, n/3)
+		tr, err := RandomWithLeavesInto(&r, n, k, src)
+		if err != nil {
+			t.Fatalf("RandomWithLeavesInto(%d, %d): %v", n, k, err)
+		}
+		checkOrder(t, tr)
+		tr, err = RandomWithInnerInto(&r, n, n-k, src)
+		if err != nil {
+			t.Fatalf("RandomWithInnerInto(%d, %d): %v", n, n-k, err)
+		}
+		checkOrder(t, tr)
+		checkOrder(t, PathInto(&r, nil))
+	}
+}
+
 func BenchmarkRandom(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
 		b.Run(benchName(n), func(b *testing.B) {
