@@ -329,7 +329,9 @@ func BenchmarkNonsplitGame(b *testing.B) {
 // warmed, then Reset to the trial's source and run per op. There is one
 // batched/<family>/n64 row per built-in family except the search-backed
 // ones (their cost is the offline search, not the trial), plus
-// random-tree rows at n = 256 and n = 1024. Every row but min-gain, whose
+// random-tree rows at n = 256 and n = 1024 and a block-leader row at
+// n = 256 (the heuristic-mix shape, four words per heard row, where the
+// cost of the adversary's reach counts shows). Every row but min-gain, whose
 // arborescence scratch is allocated per round, must run at 0 allocs/op;
 // scripts/benchdiff.sh gates the rows against scripts/bench-baseline.txt.
 func BenchmarkTrialHotPath(b *testing.B) {
@@ -342,7 +344,7 @@ func BenchmarkTrialHotPath(b *testing.B) {
 		"min-gain", "k-leaves", "k-inner", "two-phase-path", "stale-ascending"} {
 		rows = append(rows, row{f, 64})
 	}
-	rows = append(rows, row{"random-tree", 256}, row{"random-tree", 1024})
+	rows = append(rows, row{"random-tree", 256}, row{"random-tree", 1024}, row{"block-leader", 256})
 	families := map[string]campaign.Family{}
 	for _, f := range campaign.Families() {
 		families[f.Name] = f

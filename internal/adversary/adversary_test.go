@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"dyntreecast/internal/bounds"
@@ -157,15 +158,70 @@ func TestAscendingPathWithinBounds(t *testing.T) {
 func TestBlockLeaderFreezesLeader(t *testing.T) {
 	// After a BlockLeader round, the pre-round leader's reach must not
 	// have grown.
-	e := core.NewEngine(8)
-	e.Step(tree.IdentityPath(8)) // create a leader
+	for _, n := range []int{8, 130} {
+		e := core.NewEngine(n)
+		e.Step(tree.IdentityPath(n)) // create a leader
+		adv := &BlockLeader{}
+		for r := 0; r < 10 && !e.BroadcastDone(); r++ {
+			leader, before := leaderReach(e)
+			e.Step(adv.Next(e))
+			after := reachSets(e)[leader].Count()
+			if after != before {
+				t.Fatalf("n=%d round %d: leader %d reach grew %d -> %d", n, r, leader, before, after)
+			}
+		}
+	}
+}
+
+// TestBlockLeaderReusedAcrossN: one BlockLeader plays the oracle's trees
+// through trials at shrinking and growing n, two trials per size.
+func TestBlockLeaderReusedAcrossN(t *testing.T) {
 	adv := &BlockLeader{}
-	for r := 0; r < 10 && !e.BroadcastDone(); r++ {
-		leader, before := leaderReach(e)
-		e.Step(adv.Next(e))
-		after := reachSets(e)[leader].Count()
-		if after != before {
-			t.Fatalf("round %d: leader %d reach grew %d -> %d", r, leader, before, after)
+	for _, n := range []int{130, 7, 200, 64} {
+		for trial := 0; trial < 2; trial++ {
+			adv.Reset(nil)
+			lockstep(t, n, Func(blockLeaderOracle), adv)
+		}
+	}
+}
+
+// TestBlockLeaderViewJumps: one BlockLeader is asked in turn about two
+// Engines in different states and a MatrixEngine (whose Heard builds a
+// fresh set per call), so consecutive views are unrelated states, and
+// must play the oracle's tree for each.
+func TestBlockLeaderViewJumps(t *testing.T) {
+	type view interface {
+		core.View
+		Step(*tree.Tree)
+		BroadcastDone() bool
+	}
+	for _, n := range []int{65, 130} {
+		src := rng.New(uint64(n))
+		a, b, m := core.NewEngine(n), core.NewEngine(n), core.NewMatrixEngine(n)
+		for r := 0; r < n/2; r++ {
+			a.Step(tree.Random(n, src))
+		}
+		m.Step(tree.IdentityPath(n))
+		views := []view{a, b, m}
+		adv := &BlockLeader{}
+		for r := 0; r < 3*n; r++ {
+			live := 0
+			for i, v := range views {
+				if v.BroadcastDone() {
+					continue
+				}
+				live++
+				got, want := adv.Next(v), blockLeaderOracle(v)
+				samePath(t, fmt.Sprintf("n=%d round %d view %d", n, r, i), got, want)
+				if i == 1 {
+					v.Step(want)
+				} else {
+					v.Step(tree.RandomPath(n, src))
+				}
+			}
+			if live == 0 {
+				break
+			}
 		}
 	}
 }

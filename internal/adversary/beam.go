@@ -87,6 +87,7 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 	}
 
 	proposers := []core.Adversary{&AscendingPath{}, &BlockLeader{}, MinGain{Roots: 2}}
+	var tally heardTally
 
 	beam := []*beamNode{{eng: core.NewEngine(n)}}
 	bestRounds := 0
@@ -126,7 +127,7 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 					continue
 				}
 				seen[key] = true
-				next = append(next, scoreNode(child, hist))
+				next = append(next, scoreNode(&tally, child, hist))
 			}
 		}
 		if len(next) == 0 {
@@ -168,22 +169,16 @@ func BeamSearch(n int, cfg BeamConfig) (Replay, int) {
 	return Replay{Trees: sched}, rounds
 }
 
-func scoreNode(e *core.Engine, h *histNode) *beamNode {
-	n := e.N()
-	reach := make([]int, n)
-	total := 0
-	for y := 0; y < n; y++ {
-		e.Heard(y).ForEach(func(x int) bool {
-			reach[x]++
-			return true
-		})
+// scoreNode scores state e through the search's tally. Sibling states
+// differ from each other by about one round, so each sync is small.
+func scoreNode(t *heardTally, e *core.Engine, h *histNode) *beamNode {
+	t.sync(e)
+	maxReach, total := 0, 0
+	for _, c := range t.reach {
+		maxReach = max(maxReach, c)
 	}
-	maxReach := 0
-	for _, c := range reach {
+	for _, c := range t.heard {
 		total += c
-		if c > maxReach {
-			maxReach = c
-		}
 	}
 	return &beamNode{eng: e, hist: h, maxReach: maxReach, totalEdges: total}
 }

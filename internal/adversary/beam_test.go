@@ -1,6 +1,9 @@
 package adversary
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"dyntreecast/internal/bounds"
@@ -96,5 +99,37 @@ func TestBeamSearchDeterministic(t *testing.T) {
 	_, r2 := BeamSearch(6, BeamConfig{Width: 5, RandomMoves: 3, Seed: 7})
 	if r1 != r2 {
 		t.Errorf("same seed gave %d and %d rounds", r1, r2)
+	}
+}
+
+// beamGolden pins BeamSearch's output for fixed configurations: the
+// certified rounds and the SHA-256 of the schedule's parent arrays, one
+// line per tree. The n = 70 row has two words per heard row, so the
+// scoring's reach and edge counts cross a word boundary. Any change to
+// how states are scored or ranked shows here as a different schedule.
+var beamGolden = []struct {
+	n      int
+	cfg    BeamConfig
+	rounds int
+	digest string
+}{
+	{5, BeamConfig{Width: 6, RandomMoves: 3, Seed: 1}, 5, "a2c141873b42123b1aa0a656c5464a6affa6d1aaac42abd3df2312221a862e9b"},
+	{6, BeamConfig{Width: 5, RandomMoves: 3, Seed: 7}, 5, "411489034569a07c8fb736f0e4d489dd83c0fcf7a6adda2489737661fe817ecd"},
+	{8, BeamConfig{Width: 8, RandomMoves: 2, RandomTrees: 3, Seed: 3}, 7, "8dc0e1f07235a28b7bd35d5af791b335bc40a1cb7e61d4beb24efcbcbc713abd"},
+	{70, BeamConfig{Width: 2, RandomMoves: 1, RandomTrees: 1, Seed: 5}, 69, "ea9d3fee65742519bc4a865a0f3a2de2368abf0e925a8e5c8c9c76c6334267d5"},
+}
+
+func TestBeamSearchGolden(t *testing.T) {
+	for _, g := range beamGolden {
+		replay, rounds := BeamSearch(g.n, g.cfg)
+		h := sha256.New()
+		for _, tr := range replay.Trees {
+			fmt.Fprintln(h, tr.Parents())
+		}
+		digest := hex.EncodeToString(h.Sum(nil))
+		if rounds != g.rounds || digest != g.digest {
+			t.Errorf("n=%d %+v: %d rounds, schedule %s; want %d rounds, schedule %s",
+				g.n, g.cfg, rounds, digest, g.rounds, g.digest)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dyntreecast/internal/bitset"
 	"dyntreecast/internal/core"
@@ -68,6 +69,53 @@ func (a *AscendingPath) Next(v core.View) *tree.Tree {
 
 var _ core.Adversary = (*AscendingPath)(nil)
 
+// heardTally is an exact running count of a view's heard matrix: heard[y]
+// = |K_y| and reach[x] = |R_x| = |{y : x ∈ K_y}|, the sizes of the
+// matrix's columns and rows. It keeps a word snapshot of the heard rows it
+// last synced, so a sync pays one compare per word plus one update per bit
+// that changed, instead of a recount of all n² entries.
+//
+// The counts describe exactly the matrix last synced, whatever the view
+// before it was: a restart at identity counts the old bits out, a jump to
+// an unrelated state counts only the difference. There is no notion of
+// rounds or trials to keep in step. The zero value is ready to use.
+type heardTally struct {
+	seen  []uint64 // n rows of bitset.WordsFor(n) words: the rows last synced
+	heard []int    // heard[y] = |K_y| in seen
+	reach []int    // reach[x] = |R_x| in seen
+}
+
+// sync brings the snapshot and counts up to v's heard matrix. Storage is
+// zeroed and resized only when n changes.
+func (t *heardTally) sync(v core.View) {
+	n := v.N()
+	w := bitset.WordsFor(n)
+	if len(t.heard) != n {
+		clear(tree.Grow(&t.seen, n*w))
+		clear(tree.Grow(&t.heard, n))
+		clear(tree.Grow(&t.reach, n))
+	}
+	for y := 0; y < n; y++ {
+		row := t.seen[y*w : (y+1)*w]
+		for i, cur := range v.Heard(y).Words()[:w] {
+			old := row[i]
+			if cur == old {
+				continue
+			}
+			add, del := cur&^old, old&^cur
+			t.heard[y] += bits.OnesCount64(add) - bits.OnesCount64(del)
+			base := i * 64
+			for ; add != 0; add &= add - 1 {
+				t.reach[base+bits.TrailingZeros64(add)]++
+			}
+			for ; del != 0; del &= del - 1 {
+				t.reach[base+bits.TrailingZeros64(del)]--
+			}
+			row[i] = cur
+		}
+	}
+}
+
 // BlockLeader stalls the most dangerous value. Each round it identifies
 // the leader — the incomplete value x with the largest reach set R_x —
 // and plays a path whose prefix consists of the processes that have NOT
@@ -80,56 +128,29 @@ var _ core.Adversary = (*AscendingPath)(nil)
 // lower-bound constructions: broadcast cannot finish until the adversary
 // runs out of values it can afford to freeze.
 //
-// The zero value is ready to use; its reach-set rows, sort scratch and
-// tree buffer are built once per n and refilled in place each round.
+// The zero value is ready to use. Reach and heard counts come from a
+// heardTally, which a round updates by the heard bits that changed since
+// the previous round; the sort scratch and tree buffer are reused.
 type BlockLeader struct {
 	buf                tree.Buf
-	rows               []*bitset.Set
-	counts, order, tmp []int
-	bucket             []int
+	tally              heardTally
+	order, tmp, bucket []int
 }
 
 // Reset implements the reusable-adversary contract (BlockLeader is
-// source-free).
+// source-free; the tally needs no reset, see heardTally).
 func (*BlockLeader) Reset(*rng.Source) {}
-
-// reachRows refills the pooled rows with the view's reach sets R_x (rows
-// of the adjacency matrix) from its heard sets (columns): y ∈ R_x iff
-// x ∈ K_y. O(n²) bit ops.
-func (a *BlockLeader) reachRows(v core.View) []*bitset.Set {
-	n := v.N()
-	if len(a.rows) != n || (n > 0 && a.rows[0].Len() != n) {
-		a.rows = make([]*bitset.Set, n)
-		for x := range a.rows {
-			a.rows[x] = bitset.New(n)
-		}
-	} else {
-		for _, r := range a.rows {
-			r.Reset()
-		}
-	}
-	for y := 0; y < n; y++ {
-		v.Heard(y).ForEach(func(x int) bool {
-			a.rows[x].Set(y)
-			return true
-		})
-	}
-	return a.rows
-}
 
 // Next implements core.Adversary.
 func (a *BlockLeader) Next(v core.View) *tree.Tree {
 	n := v.N()
-	rows := a.reachRows(v)
-	counts := tree.Grow(&a.counts, n)
-	for y := 0; y < n; y++ {
-		counts[y] = v.Heard(y).Count()
-	}
+	t := &a.tally
+	t.sync(v)
 
 	// Leader: incomplete value with maximum reach; ties by id.
 	leader, best := -1, -1
-	for x := 0; x < n; x++ {
-		if c := rows[x].Count(); c < n && c > best {
+	for x, c := range t.reach {
+		if c < n && c > best {
 			leader, best = x, c
 		}
 	}
@@ -141,25 +162,24 @@ func (a *BlockLeader) Next(v core.View) *tree.Tree {
 	}
 
 	// order = non-knowers of the leader, then knowers, each segment
-	// stably sorted by ascending heard count.
+	// stably sorted by ascending heard count. y knows the leader iff its
+	// bit is set in row y of the snapshot.
 	order := tree.Grow(&a.order, n)
 	tmp := tree.Grow(&a.tmp, n)
-	nk := 0
+	w, word, mask := bitset.WordsFor(n), leader/64, uint64(1)<<(leader%64)
+	nk, kn := 0, 0
 	for y := 0; y < n; y++ {
-		if !v.Heard(y).Test(leader) {
+		if t.seen[y*w+word]&mask != 0 {
+			tmp[kn] = y
+			kn++
+		} else {
 			order[nk] = y
 			nk++
 		}
 	}
-	kStart := nk
-	for y := 0; y < n; y++ {
-		if v.Heard(y).Test(leader) {
-			order[kStart] = y
-			kStart++
-		}
-	}
-	countingSortByAsc(order[:nk], tmp[:nk], counts, &a.bucket, n)
-	countingSortByAsc(order[nk:], tmp[nk:], counts, &a.bucket, n)
+	copy(order[nk:], tmp[:kn])
+	countingSortByAsc(order[:nk], tmp[:nk], t.heard, &a.bucket, n)
+	countingSortByAsc(order[nk:], tmp[nk:], t.heard, &a.bucket, n)
 	return tree.PathInto(&a.buf, order)
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -139,12 +140,18 @@ func lockstep(t *testing.T, n int, want, got core.Adversary) {
 		if w == nil {
 			return
 		}
-		for y := 0; y < n; y++ {
-			if w.Parent(y) != g.Parent(y) {
-				t.Fatalf("n=%d round %d: parent[%d] = %d, oracle %d", n, e.Round(), y, g.Parent(y), w.Parent(y))
-			}
-		}
+		samePath(t, fmt.Sprintf("n=%d round %d", n, e.Round()), g, w)
 		e.Step(w)
+	}
+}
+
+// samePath fails the test unless got and want have the same parent array.
+func samePath(t *testing.T, what string, got, want *tree.Tree) {
+	t.Helper()
+	for y := 0; y < want.N(); y++ {
+		if got.Parent(y) != want.Parent(y) {
+			t.Fatalf("%s: parent[%d] = %d, oracle %d", what, y, got.Parent(y), want.Parent(y))
+		}
 	}
 }
 
@@ -160,6 +167,28 @@ func TestReusableMatchesPlain(t *testing.T) {
 					seed := uint64(n*1000 + trial)
 					p.reuse.Reset(rng.New(seed))
 					lockstep(t, n, p.oracle(rng.New(seed)), p.reuse)
+				}
+			}
+		})
+	}
+}
+
+// TestReusableMatchesPlainMultiWord runs the heard-count adversaries in
+// lockstep with their oracles where a heard row is one word (63, 64) or
+// several (65, 130, 256), with a partial (63, 65, 130) or full (64, 256)
+// last word. Two trials per size, so the second starts while the
+// adversary still holds the first trial's final state.
+func TestReusableMatchesPlainMultiWord(t *testing.T) {
+	for _, p := range oraclePairs() {
+		if p.name != "ascending-path" && p.name != "block-leader" {
+			continue
+		}
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			for _, n := range []int{63, 64, 65, 130, 256} {
+				for trial := 0; trial < 2; trial++ {
+					p.reuse.Reset(nil)
+					lockstep(t, n, p.oracle(nil), p.reuse)
 				}
 			}
 		})

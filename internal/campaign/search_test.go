@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -228,5 +230,34 @@ func TestSearchScheduleEdgeCases(t *testing.T) {
 		if adv == nil {
 			t.Errorf("%s at n=1 returned a nil adversary", name)
 		}
+	}
+}
+
+// searchGolden is the SHA-256 of searchGoldenSpec()'s WriteJSON artifact.
+// The search-backed families' cells are a function of the schedule their
+// search finds, so this pins both searches' output end to end.
+const searchGolden = "1b9020e7466a2c359f4d91c2d21581ac6a0cba115eb79756c7acf2263abdb47e"
+
+func searchGoldenSpec() Spec {
+	return Spec{
+		Scenarios: []Scenario{
+			{Adversary: "beam-search", Params: map[string]any{"seed": []any{1, 2}, "width": []any{2, 3}, "random_moves": 1, "random_trees": 1}},
+			{Adversary: "deepest-line", Params: map[string]any{"budget": 500, "width": 2}},
+		},
+		Ns: []int{4, 6, 70}, Trials: 2, Seed: 5,
+	}
+}
+
+func TestSearchFamilyArtifactGolden(t *testing.T) {
+	out, err := RunSpec(context.Background(), searchGoldenSpec(), Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Failed != 0 {
+		t.Fatalf("%d jobs failed: %v", out.Failed, out.Errors)
+	}
+	sum := sha256.Sum256(artifactBytes(t, out))
+	if got := hex.EncodeToString(sum[:]); got != searchGolden {
+		t.Errorf("artifact digest %s, want %s", got, searchGolden)
 	}
 }

@@ -3,7 +3,8 @@
 #
 # Runs the zero-alloc hot-path benchmarks (BenchmarkEngineStep,
 # BenchmarkMatrixEngineStep at n=64..1024; BenchmarkTrialHotPath/batched,
-# one n=64 row per built-in family plus random-tree at n=256 and 1024)
+# one n=64 row per built-in family plus random-tree at n=256 and 1024
+# and block-leader at n=256)
 # plus the exact-solver matrix (BenchmarkSolver/n5/{full,parallel};
 # DESIGN.md §3i) and compares the best observed ns/op of each against
 # the committed baseline in scripts/bench-baseline.txt. The check fails
