@@ -369,14 +369,14 @@ func BenchmarkTrialHotPath(b *testing.B) {
 			// measured; the one-time buffer growth is amortized over a
 			// cell's trials in real runs.
 			adv.Reset(src)
-			if _, err := runner.BroadcastTime(r.n, adv); err != nil {
+			if _, err := runner.Run(r.n, adv, core.Broadcast); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				adv.Reset(src)
-				if _, err := runner.BroadcastTime(r.n, adv); err != nil {
+				if _, err := runner.Run(r.n, adv, core.Broadcast); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -393,11 +393,11 @@ func BenchmarkTrialHotPath(b *testing.B) {
 // cancellation and streaming aggregation, not throughput.)
 func BenchmarkCampaignParallel(b *testing.B) {
 	spec := campaign.Spec{
-		Name:        "bench",
-		Adversaries: []string{"random-tree"},
-		Ns:          []int{64, 128},
-		Trials:      32,
-		Seed:        1,
+		Name:      "bench",
+		Scenarios: []dyntreecast.Scenario{{Adversary: "random-tree"}},
+		Ns:        []int{64, 128},
+		Trials:    32,
+		Seed:      1,
 	}
 	totalRounds := func(o *campaign.Outcome) float64 {
 		sum := 0.0

@@ -8,9 +8,10 @@
 //	broadcast-sim -n 16 -adversary random-tree -seed 7 -goal gossip -json
 //	broadcast-sim -n 64 -adversary random-tree -trials 100 -workers 4
 //
-// With -trials > 1 the run becomes a mini-campaign: the trials execute on
-// the campaign worker pool (each with a deterministically pre-split
-// source, so the summary is identical for every -workers value) and a
+// With -trials > 1 the run becomes a mini-campaign: a one-scenario
+// campaign spec over any registered family, whose trials execute on the
+// campaign worker pool (each with a deterministically pre-split source,
+// so the summary is identical for every -workers value), and a
 // count/mean/min/max/p50/p99 summary replaces the single-run trace.
 package main
 
@@ -80,7 +81,8 @@ func run(args []string) error {
 		return fmt.Errorf("unknown goal %q", *goalName)
 	}
 	if *trials > 1 {
-		return runTrials(*advName, *n, *seed, *trials, *workers, goal, *maxR)
+		return runTrials(campaign.Spec{Scenarios: []campaign.Scenario{{Adversary: *advName}},
+			Ns: []int{*n}, Trials: *trials, Seed: *seed, Goal: *goalName, MaxRounds: *maxR}, *workers)
 	}
 
 	newAdv, err := adversaryFactory(*advName, *n, *seed)
@@ -118,47 +120,24 @@ func run(args []string) error {
 	return nil
 }
 
-// runTrials runs the adversary trials times on the campaign pool and
-// prints the aggregate. Each trial's source is pre-split from the seed in
-// trial order, so the summary is the same for every worker count.
-func runTrials(advName string, n int, seed uint64, trials, workers int, goal core.Goal, maxR int) error {
-	var opts []core.Option
-	if maxR > 0 {
-		opts = append(opts, core.WithMaxRounds(maxR))
-	}
-	newAdv, err := adversaryFactory(advName, n, seed)
+// runTrials runs a one-scenario, one-n spec on the campaign pool and
+// prints the aggregate. Trials draw the campaign's content-addressed
+// streams, so the summary is the same for every worker count.
+func runTrials(spec campaign.Spec, workers int) error {
+	o, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Workers: workers})
 	if err != nil {
 		return err
 	}
-	root := rng.New(seed)
-	jobs := make([]campaign.Job, trials)
-	for i := range jobs {
-		jobs[i] = campaign.Job{
-			Index: i,
-			Src:   root.Split(),
-			Run: func(_ context.Context, src *rng.Source, _ *campaign.Arena) ([]campaign.Measurement, error) {
-				res, err := core.Run(n, newAdv(src), goal, opts...)
-				if err != nil {
-					return nil, err
-				}
-				return []campaign.Measurement{{Cell: "rounds", Value: float64(res.Rounds)}}, nil
-			},
-		}
+	if o.Failed > 0 {
+		return fmt.Errorf("%d/%d trials failed (first: %s)", o.Failed, o.Jobs, o.Errors[0])
 	}
-	results, err := campaign.Run(context.Background(), jobs, campaign.Config{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if err := campaign.JoinErrors(results); err != nil {
-		return err
-	}
-	cell, _ := campaign.CellByKey(campaign.Aggregate(results), "rounds")
-	fmt.Printf("n=%d adversary=%s goal=%s trials=%d\n", n, advName, goal, trials)
+	n, cell := spec.Ns[0], o.Cells[0]
+	fmt.Printf("n=%d adversary=%s goal=%s trials=%d\n", n, spec.Scenarios[0].Adversary, spec.Goal, spec.Trials)
 	fmt.Printf("rounds: mean=%.2f sd=%.2f min=%g p50=%g p99=%g max=%g\n",
 		cell.Mean, cell.StdDev, cell.Min, cell.P50, cell.P99, cell.Max)
 	fmt.Printf("bounds: lower=%d upper=%d (mean/n = %.3f)\n",
 		bounds.Lower(n), bounds.UpperLinear(n), cell.Mean/float64(n))
-	if goal == core.Broadcast {
+	if spec.Goal == "broadcast" {
 		if err := bounds.CheckSandwich(n, int(cell.Max)); err != nil {
 			return err
 		}

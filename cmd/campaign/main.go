@@ -6,7 +6,8 @@
 // machines, and PRs.
 //
 // The grid comes from a JSON spec file, from scenario flags, or from the
-// legacy adversary/ks flags:
+// -adversaries/-ks shorthand, which builds one scenario per family name
+// and hands the -ks values to every family with a k param as its k axis:
 //
 //	campaign -spec sweep.json -format json -out sweep.json.out
 //	campaign -scenario random-tree -scenario '{"adversary":"k-leaves","params":{"k":[2,4]}}' -ns 32,64 -trials 20
@@ -14,8 +15,8 @@
 //	campaign -adversaries k-leaves,k-inner -ns 32,64 -ks 2,4,8 -trials 20 -format csv
 //	campaign -adversaries random-tree -ns 64 -trials 100 -goal gossip -workers 4 -progress
 //
-// A spec file is the JSON form of the same grid (schema v2; the legacy
-// adversaries/ks form is still accepted and canonicalized):
+// A spec file is the JSON form of the same grid (schema v2, the scenario
+// form; a spec in the retired adversaries/ks form is rejected):
 //
 //	{"version": 2, "name": "restricted",
 //	 "scenarios": [{"adversary": "k-leaves", "params": {"k": [2, 4]}}],
@@ -153,12 +154,13 @@ func run(args []string) error {
 		if len(scenarios) > 0 {
 			spec.Scenarios = scenarios
 		} else {
-			spec.Adversaries = splitNames(*advsFlag)
+			var ks []int
 			if *ksFlag != "" {
-				if spec.Ks, err = parseInts(*ksFlag); err != nil {
+				if ks, err = parseInts(*ksFlag); err != nil {
 					return fmt.Errorf("-ks: %w", err)
 				}
 			}
+			spec.Scenarios = flagScenarios(splitNames(*advsFlag), ks)
 		}
 		if spec.Goal == "broadcast" {
 			spec.Goal = "" // the default; keep artifacts minimal
@@ -272,6 +274,27 @@ func write(w io.Writer, outcome *campaign.Outcome, format string) error {
 		return outcome.WriteJSONL(w)
 	}
 	return fmt.Errorf("unknown format %q (want table, csv, json, jsonl)", format)
+}
+
+// flagScenarios builds the grid of the -adversaries/-ks shorthand: one
+// scenario per family name, and ks as the k axis of each family that
+// declares a k param. Unknown names and a k family left without ks fail
+// spec validation like any other bad scenario.
+func flagScenarios(names []string, ks []int) []campaign.Scenario {
+	takesK := make(map[string]bool)
+	for _, f := range campaign.Families() {
+		for _, p := range f.Params {
+			takesK[f.Name] = takesK[f.Name] || p.Name == "k"
+		}
+	}
+	out := make([]campaign.Scenario, len(names))
+	for i, name := range names {
+		out[i] = campaign.Scenario{Adversary: name}
+		if takesK[name] && len(ks) > 0 {
+			out[i].Params = map[string]any{"k": ks}
+		}
+	}
+	return out
 }
 
 func splitNames(s string) []string {

@@ -16,7 +16,7 @@ func TestRunSpecFileJSON(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")
 	outPath := filepath.Join(dir, "artifact.json")
-	specJSON := `{"name":"smoke","adversaries":["static-path"],"ns":[8,16],"trials":2,"seed":1}`
+	specJSON := `{"name":"smoke","scenarios":[{"adversary":"static-path"}],"ns":[8,16],"trials":2,"seed":1}`
 	if err := os.WriteFile(specPath, []byte(specJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +88,52 @@ func TestRunScenarioFlags(t *testing.T) {
 	}
 }
 
+// TestAdversariesFlagsMatchScenarioFlags: the -adversaries/-ks shorthand
+// builds the same scenarios as the matching -scenario flags, so the two
+// write byte-identical artifacts.
+func TestAdversariesFlagsMatchScenarioFlags(t *testing.T) {
+	dir := t.TempDir()
+	grid := []string{"-ns", "8,16", "-trials", "3", "-seed", "5", "-format", "json"}
+	short := filepath.Join(dir, "short.json")
+	if err := run(append([]string{"-adversaries", "k-leaves,k-inner", "-ks", "2,4", "-out", short}, grid...)); err != nil {
+		t.Fatal(err)
+	}
+	long := filepath.Join(dir, "long.json")
+	if err := run(append([]string{
+		"-scenario", `{"adversary":"k-leaves","params":{"k":[2,4]}}`,
+		"-scenario", `{"adversary":"k-inner","params":{"k":[2,4]}}`,
+		"-out", long}, grid...)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("-adversaries/-ks artifact differs from -scenario artifact:\n%s\nvs\n%s", a, b)
+	}
+	if !bytes.Contains(a, []byte(`"k-inner/n=16/k=4"`)) {
+		t.Errorf("artifact misses the k axis:\n%s", a)
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	cases := map[string][]string{
-		"unknown flag":       {"-no-such-flag"},
-		"unknown adversary":  {"-adversaries", "omniscient"},
-		"bad ns":             {"-ns", "eight"},
-		"bad ks":             {"-adversaries", "k-leaves", "-ns", "8", "-ks", "two"},
-		"unknown format":     {"-format", "yaml"},
-		"unknown goal":       {"-goal", "multicast"},
-		"missing spec file":  {"-spec", filepath.Join(t.TempDir(), "nope.json")},
-		"bad scenario":       {"-scenario", `{"adversary":"omniscient"}`},
-		"bad scenario json":  {"-scenario", `{"adversary":`},
-		"scenario bad param": {"-scenario", `{"adversary":"k-leaves","params":{"k":"two"}}`},
+		"unknown flag":        {"-no-such-flag"},
+		"unknown adversary":   {"-adversaries", "omniscient"},
+		"bad ns":              {"-ns", "eight"},
+		"bad ks":              {"-adversaries", "k-leaves", "-ns", "8", "-ks", "two"},
+		"k family without ks": {"-adversaries", "k-leaves", "-ns", "8"},
+		"unknown format":      {"-format", "yaml"},
+		"unknown goal":        {"-goal", "multicast"},
+		"missing spec file":   {"-spec", filepath.Join(t.TempDir(), "nope.json")},
+		"bad scenario":        {"-scenario", `{"adversary":"omniscient"}`},
+		"bad scenario json":   {"-scenario", `{"adversary":`},
+		"scenario bad param":  {"-scenario", `{"adversary":"k-leaves","params":{"k":"two"}}`},
 	}
 	for name, args := range cases {
 		if err := run(args); err == nil {
@@ -110,7 +144,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 func TestRunBadSpecFile(t *testing.T) {
 	specPath := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(specPath, []byte(`{"adversaries":["random-tree"],"workerz":3}`), 0o644); err != nil {
+	if err := os.WriteFile(specPath, []byte(`{"scenarios":[{"adversary":"random-tree"}],"workerz":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := run([]string{"-spec", specPath})
@@ -172,7 +206,7 @@ func TestParseHelpers(t *testing.T) {
 func TestJoinFlag(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")
-	specJSON := `{"name":"joinsmoke","adversaries":["static-path","random-tree"],"ns":[8,16],"trials":3,"seed":7}`
+	specJSON := `{"name":"joinsmoke","scenarios":[{"adversary":"static-path"},{"adversary":"random-tree"}],"ns":[8,16],"trials":3,"seed":7}`
 	if err := os.WriteFile(specPath, []byte(specJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}

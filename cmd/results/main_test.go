@@ -24,11 +24,11 @@ func warehouseServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	spec := campaign.Spec{
-		Name:        "cli-test",
-		Adversaries: []string{"random-path", "random-tree"},
-		Ns:          []int{4, 8},
-		Trials:      3,
-		Seed:        7,
+		Name:      "cli-test",
+		Scenarios: []campaign.Scenario{{Adversary: "random-path"}, {Adversary: "random-tree"}},
+		Ns:        []int{4, 8},
+		Trials:    3,
+		Seed:      7,
 	}
 	out, err := campaign.RunSpec(context.Background(), spec, campaign.Config{Cache: st.Cache()})
 	if err != nil {

@@ -15,9 +15,9 @@
 //	sweep -exp grid -scenario random-tree \
 //	    -scenario '{"adversary":"k-leaves","params":{"k":[2,4]}}' -ns 16,32 -trials 10
 //
-// Randomized experiments fan their trials out over the campaign worker
-// pool; -workers tunes the pool (0 = GOMAXPROCS, 1 = the old serial
-// harness) without changing a single output digit.
+// Randomized experiments run as campaign specs on the campaign worker
+// pool; -workers tunes the pool (0 = GOMAXPROCS, 1 = serial) without
+// changing a single output digit.
 package main
 
 import (

@@ -299,9 +299,9 @@ func NonsplitBroadcastTime(n int, adv NonsplitAdversary, maxRounds int) (int, er
 // Campaign declaratively describes a parallel experiment sweep: the cross
 // product scenarios × ns × trials, run toward a goal from one seed. A
 // scenario names a registered adversary family with a JSON-serializable
-// parameter assignment; the legacy adversaries/ks fields are still
-// accepted and canonicalized into scenarios. See the campaign package for
-// the determinism contract and Canonical for the schema rules.
+// parameter assignment; array-valued params expand as axes. See the
+// campaign package for the determinism contract and Canonical for the
+// schema rules.
 type Campaign = campaign.Spec
 
 // Scenario selects one registered adversary family, with a parameter

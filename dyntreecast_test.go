@@ -310,10 +310,10 @@ func TestDeepSearchSchedulePublicAPI(t *testing.T) {
 
 func TestRunCampaignCacheOption(t *testing.T) {
 	spec := dyntreecast.Campaign{
-		Adversaries: []string{"random-tree", "random-path"},
-		Ns:          []int{8, 16},
-		Trials:      4,
-		Seed:        6,
+		Scenarios: []dyntreecast.Scenario{{Adversary: "random-tree"}, {Adversary: "random-path"}},
+		Ns:        []int{8, 16},
+		Trials:    4,
+		Seed:      6,
 	}
 	store := dyntreecast.NewMemoryCampaignCache()
 	cold, err := dyntreecast.RunCampaign(context.Background(), spec, 2,
@@ -354,8 +354,7 @@ func (s stridingStar) Next(v dyntreecast.View) *dyntreecast.Tree {
 // custom parameterized family registered through the public
 // RegisterAdversary runs through a full campaign with the cell cache
 // (cold, then rerun from it), and round-trips through the campaignd HTTP service — where
-// a legacy-form submission of a built-in grid serves an artifact
-// byte-identical to its scenario-form equivalent.
+// two spellings of a built-in grid serve byte-identical artifacts.
 func TestRegisterAdversaryFullStack(t *testing.T) {
 	// A custom oblivious family: round-robin stars whose root advances by
 	// the "stride" parameter each round. Broadcast completes in 1 round
@@ -432,17 +431,17 @@ func TestRegisterAdversaryFullStack(t *testing.T) {
 		t.Errorf("campaignd aggregates differ from local run:\n%+v\nvs\n%+v", served.Cells, first.Cells)
 	}
 
-	// Legacy-form vs scenario-form submissions of one built-in grid:
-	// byte-identical artifacts (modulo the submission-counter id).
-	legacy := `{"adversaries":["k-inner"],"ks":[2],"ns":[8],"trials":3,"seed":9}`
-	scenario := `{"version":2,"scenarios":[{"adversary":"k-inner","params":{"k":2}}],"ns":[8],"trials":3,"seed":9}`
-	a := submitAndWait(t, ts, legacy)
-	b := submitAndWait(t, ts, scenario)
+	// Axis and expanded spellings of one built-in grid: byte-identical
+	// artifacts (modulo the submission-counter id).
+	axis := `{"scenarios":[{"adversary":"k-inner","params":{"k":[2]}}],"ns":[8],"trials":3,"seed":9}`
+	ground := `{"version":2,"scenarios":[{"adversary":"k-inner","params":{"k":2}}],"ns":[8],"trials":3,"seed":9}`
+	a := submitAndWait(t, ts, axis)
+	b := submitAndWait(t, ts, ground)
 	a.ID, b.ID = "", ""
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if !bytes.Equal(aj, bj) {
-		t.Errorf("legacy and scenario campaignd artifacts differ:\n%s\nvs\n%s", aj, bj)
+		t.Errorf("equivalent spellings serve different campaignd artifacts:\n%s\nvs\n%s", aj, bj)
 	}
 }
 
@@ -515,10 +514,10 @@ func TestCampaignWithShardedCluster(t *testing.T) {
 func clusterFacadeRoundTrip(t *testing.T, coord *dyntreecast.ClusterCoordinator) {
 	t.Helper()
 	spec := dyntreecast.Campaign{
-		Adversaries: []string{"random-tree", "static-path"},
-		Ns:          []int{8, 12},
-		Trials:      4,
-		Seed:        11,
+		Scenarios: []dyntreecast.Scenario{{Adversary: "random-tree"}, {Adversary: "static-path"}},
+		Ns:        []int{8, 12},
+		Trials:    4,
+		Seed:      11,
 	}
 	want, err := dyntreecast.RunCampaign(context.Background(), spec, 2)
 	if err != nil {

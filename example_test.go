@@ -51,10 +51,10 @@ func ExampleEngine() {
 // rounds, and the aggregates are identical for every worker count.
 func ExampleRunCampaign() {
 	outcome, err := dyntreecast.RunCampaign(context.Background(), dyntreecast.Campaign{
-		Adversaries: []string{"static-path"},
-		Ns:          []int{8, 16},
-		Trials:      3,
-		Seed:        1,
+		Scenarios: []dyntreecast.Scenario{{Adversary: "static-path"}},
+		Ns:        []int{8, 16},
+		Trials:    3,
+		Seed:      1,
 	}, 0 /* workers: 0 = GOMAXPROCS */)
 	if err != nil {
 		panic(err)
@@ -83,10 +83,10 @@ func ExampleCampaignWithCache() {
 	}
 
 	spec := dyntreecast.Campaign{
-		Adversaries: []string{"static-path"},
-		Ns:          []int{8, 16},
-		Trials:      4,
-		Seed:        1,
+		Scenarios: []dyntreecast.Scenario{{Adversary: "static-path"}},
+		Ns:        []int{8, 16},
+		Trials:    4,
+		Seed:      1,
 	}
 	// First run on one worker, cancelled once its first cell (4 trials)
 	// is done. (A killed process leaves the cache in the same state.)

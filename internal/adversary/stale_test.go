@@ -85,7 +85,7 @@ func TestStaleAscendingPathReusable(t *testing.T) {
 		}
 		want, errA := core.BroadcastTime(n, fresh)
 		pooled.Reset(nil)
-		got, errB := runner.BroadcastTime(n, pooled)
+		got, errB := runner.Run(n, pooled, core.Broadcast)
 		if errA != nil || errB != nil || want != got {
 			t.Fatalf("trial %d: fresh %d (%v), pooled %d (%v)", trial, want, errA, got, errB)
 		}

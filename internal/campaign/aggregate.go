@@ -36,20 +36,25 @@ func Aggregate(results []JobResult) []CellStats {
 	}
 	out := make([]CellStats, 0, len(order))
 	for _, cell := range order {
-		xs := byCell[cell]
-		s := stats.Summarize(xs)
-		out = append(out, CellStats{
-			Cell:   cell,
-			Count:  s.Count,
-			Mean:   s.Mean,
-			StdDev: s.StdDev,
-			Min:    s.Min,
-			Max:    s.Max,
-			P50:    stats.Percentile(xs, 50),
-			P99:    stats.Percentile(xs, 99),
-		})
+		out = append(out, summarize(cell, byCell[cell]))
 	}
 	return out
+}
+
+// summarize computes one cell's statistics from its values in
+// observation order.
+func summarize(cell string, xs []float64) CellStats {
+	s := stats.Summarize(xs)
+	return CellStats{
+		Cell:   cell,
+		Count:  s.Count,
+		Mean:   s.Mean,
+		StdDev: s.StdDev,
+		Min:    s.Min,
+		Max:    s.Max,
+		P50:    stats.Percentile(xs, 50),
+		P99:    stats.Percentile(xs, 99),
+	}
 }
 
 // CellByKey returns the stats of the named cell, or false if the campaign

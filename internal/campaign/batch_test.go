@@ -120,7 +120,6 @@ func TestSliceBatches(t *testing.T) {
 		{"one cell over 4 workers", mk(cell("a", 10)...), 4, []batch{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
 		{"4 cells on 1 worker", mk(fourCells...), 1, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
 		{"4 cells on 4 workers", mk(fourCells...), 4, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
-		{"ad hoc singletons", mk("", "", ""), 1, []batch{{0, 1}, {1, 2}, {2, 3}}},
 		{"interleaved", mk("a", "b", "a"), 1, []batch{{0, 1}, {1, 2}, {2, 3}}},
 	}
 	for _, tc := range cases {
@@ -174,7 +173,7 @@ func TestFamilyReusableMatchesNew(t *testing.T) {
 				fresh.Reset(rng.New(seed))
 				want, errA := core.BroadcastTime(n, fresh)
 				reused.Reset(rng.New(seed))
-				got, errB := runner.BroadcastTime(n, reused)
+				got, errB := runner.Run(n, reused, core.Broadcast)
 				if errA != nil || errB != nil || want != got {
 					t.Fatalf("trial %d: fresh %d (%v), reused %d (%v)", trial, want, errA, got, errB)
 				}

@@ -67,17 +67,15 @@ func TestAppendCellEntryMatchesJSON(t *testing.T) {
 			}
 			results = append(results, JobResult{Index: i, Measurements: ms})
 		}
-		idx := make([]int, len(results))
 		ent := cellEntry{Cell: cell, Trials: make([][]Measurement, len(results))}
-		for i := range results {
-			idx[i] = len(results) - 1 - i // any order: the entry follows idx
-			ent.Trials[i] = results[idx[i]].Measurements
+		for i, r := range results {
+			ent.Trials[i] = r.Measurements
 		}
 		want, err := json.Marshal(ent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendCellEntry([]byte("stale"), cell, results, idx)
+		got, err := appendCellEntry([]byte("stale"), cell, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,8 +84,29 @@ func TestAppendCellEntryMatchesJSON(t *testing.T) {
 		}
 	}
 	bad := []JobResult{{Measurements: []Measurement{{Cell: "c", Value: math.NaN()}}}}
-	if _, err := appendCellEntry(nil, "c", bad, []int{0}); err == nil {
+	if _, err := appendCellEntry(nil, "c", bad); err == nil {
 		t.Error("NaN measurement encoded without error")
+	}
+
+	// SummarizeCellEntry, the store's reader, gives back Aggregate's
+	// stats of the cell and refuses mis-sized or torn entries.
+	results := []JobResult{
+		{Measurements: []Measurement{{Cell: "c", Value: 3}}},
+		{Measurements: []Measurement{{Cell: "c", Value: 5}, {Cell: "d", Value: 1}}},
+	}
+	entry, err := appendCellEntry(nil, "c", results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := CellByKey(Aggregate(results), "c")
+	if got, err := SummarizeCellEntry(entry, "c", 2); err != nil || got != want {
+		t.Errorf("SummarizeCellEntry = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := SummarizeCellEntry(entry, "c", 3); err == nil {
+		t.Error("entry with 2 trials accepted as 3")
+	}
+	if _, err := SummarizeCellEntry(entry[:len(entry)-1], "c", 2); err == nil {
+		t.Error("torn entry accepted")
 	}
 }
 
@@ -96,15 +115,14 @@ func TestAppendCellEntryMatchesJSON(t *testing.T) {
 // the enlarged campaign's artifact is byte-identical to a cache-free run.
 func TestCacheOverlappingGridRecomputesOnlyNewCells(t *testing.T) {
 	small := Spec{
-		Adversaries: []string{"random-tree", "random-path"},
-		Ns:          []int{8, 16},
-		Trials:      5,
-		Seed:        42,
+		Scenarios: named("random-tree", "random-path"),
+		Ns:        []int{8, 16},
+		Trials:    5,
+		Seed:      42,
 	}
 	big := small
-	big.Ns = []int{8, 16, 24} // one new n per adversary
-	big.Adversaries = append([]string{}, small.Adversaries...)
-	big.Adversaries = append(big.Adversaries, "ascending-path") // one new adversary
+	big.Ns = []int{8, 16, 24}                                             // one new n per adversary
+	big.Scenarios = named("random-tree", "random-path", "ascending-path") // one new adversary
 
 	c := cache.NewMemory()
 	if _, err := RunSpec(context.Background(), small, Config{Cache: c}); err != nil {
@@ -137,12 +155,12 @@ func TestCacheOverlappingGridRecomputesOnlyNewCells(t *testing.T) {
 // on: a cell's results depend only on the campaign seed and the cell's own
 // coordinates, not on where the cell sits in the grid.
 func TestCellStreamsArePositionIndependent(t *testing.T) {
-	alone := Spec{Adversaries: []string{"random-path"}, Ns: []int{16}, Trials: 6, Seed: 9}
+	alone := Spec{Scenarios: named("random-path"), Ns: []int{16}, Trials: 6, Seed: 9}
 	crowded := Spec{
-		Adversaries: []string{"random-tree", "random-path"},
-		Ns:          []int{8, 16, 32},
-		Trials:      6,
-		Seed:        9,
+		Scenarios: named("random-tree", "random-path"),
+		Ns:        []int{8, 16, 32},
+		Trials:    6,
+		Seed:      9,
 	}
 	a, err := RunSpec(context.Background(), alone, Config{})
 	if err != nil {
@@ -152,7 +170,7 @@ func TestCellStreamsArePositionIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CellKey("random-path", 16, -1)
+	key := "random-path/n=16"
 	ca, ok := CellByKey(a.Cells, key)
 	if !ok {
 		t.Fatal("cell missing from lone run")
@@ -169,7 +187,7 @@ func TestCellStreamsArePositionIndependent(t *testing.T) {
 // TestCacheIgnoresCorruptEntries: a torn or foreign cache entry is
 // recomputed, not served.
 func TestCacheIgnoresCorruptEntries(t *testing.T) {
-	spec := Spec{Adversaries: []string{"random-path"}, Ns: []int{8}, Trials: 3, Seed: 4}
+	spec := Spec{Scenarios: named("random-path"), Ns: []int{8}, Trials: 3, Seed: 4}
 	c := cache.NewMemory()
 	clean, err := RunSpec(context.Background(), spec, Config{Cache: c})
 	if err != nil {
@@ -205,7 +223,7 @@ func TestCacheIgnoresCorruptEntries(t *testing.T) {
 // completes with a byte-identical artifact and the bad file never
 // lingers to be served to a non-writing reader.
 func TestCacheDeletesTruncatedDirEntries(t *testing.T) {
-	spec := Spec{Adversaries: []string{"random-path"}, Ns: []int{8}, Trials: 3, Seed: 4}
+	spec := Spec{Scenarios: named("random-path"), Ns: []int{8}, Trials: 3, Seed: 4}
 	dir, err := cache.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +304,7 @@ func cellKeyFor(t testing.TB, spec Spec, adv string, n, k int) string {
 // TestCacheKeySensitivity: every determinant of a cell's results changes
 // its content address.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := Spec{Adversaries: []string{"random-tree"}, Ns: []int{8}, Trials: 3, Seed: 1}
+	base := Spec{Scenarios: named("random-tree"), Ns: []int{8}, Trials: 3, Seed: 1}
 	key := cellKeyFor(t, base, "random-tree", 8, -1)
 	mutations := map[string]func(*Spec){
 		"seed":       func(s *Spec) { s.Seed++ },
@@ -323,11 +341,11 @@ func TestCacheKeySensitivity(t *testing.T) {
 // store. The reported cold/warm ratio is the speedup.
 func BenchmarkCampaignCacheColdWarm(b *testing.B) {
 	spec := Spec{
-		Name:        "cache-bench",
-		Adversaries: []string{"random-tree", "random-path"},
-		Ns:          []int{32, 64},
-		Trials:      25,
-		Seed:        1,
+		Name:      "cache-bench",
+		Scenarios: named("random-tree", "random-path"),
+		Ns:        []int{32, 64},
+		Trials:    25,
+		Seed:      1,
 	}
 	run := func(c cache.Cache) error {
 		o, err := RunSpec(context.Background(), spec, Config{Cache: c})

@@ -15,9 +15,8 @@
 // DESIGN.md §3c): each family self-describes its parameters — names,
 // kinds, defaults, per-n feasibility — and Register lets downstream code
 // plug custom families into specs, caching, and the campaignd daemon.
-// The legacy adversaries/ks spec form is still accepted and canonicalized
-// into scenarios (Spec.Canonical), sharing identities with the scenario
-// spelling byte for byte.
+// The scenario form is the only spec schema; the retired adversaries/ks
+// form is rejected with an error that names it.
 //
 // The hard invariant of the package is bit-identical output: for a fixed
 // Spec (including its seed), the aggregated Outcome is the same regardless
@@ -44,15 +43,16 @@
 // cache, to a byte-identical artifact. Both are sound only because of the
 // determinism contract above.
 //
-// The experiment package routes its trial loops through Run, the
-// cmd/campaign binary drives RunSpec from a JSON spec, cmd/campaignd
-// serves campaigns over HTTP via internal/server, and the root
-// dyntreecast package re-exports Spec/RunSpec as Campaign/RunCampaign.
+// RunSpec is the one execution path for trials: the experiment package
+// and cmd/broadcast-sim build scenario specs, the cmd/campaign binary
+// drives RunSpec from a JSON spec or flags, cmd/campaignd serves
+// campaigns over HTTP via internal/server, and the root dyntreecast
+// package re-exports Spec/RunSpec as Campaign/RunCampaign. Run executes
+// compiled jobs; ExecuteCellJob runs a leased shard on it.
 package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -77,14 +77,14 @@ type Measurement struct {
 // affecting results.
 //
 // The pool schedules jobs in cell batches: consecutive jobs sharing a
-// non-empty Cell run sequentially on one worker, whose Arena — a pooled
+// Cell run sequentially on one worker, whose Arena — a pooled
 // core.Runner plus a per-cell reusable adversary — they share. Because
 // every job still owns its pre-split source and results are observed in
 // index order, batching is invisible in the output: artifacts are
 // byte-identical for every worker count.
 type Job struct {
 	Index int         // position in compile order; doubles as the result slot
-	Cell  string      // aggregation cell (set by Spec.Compile; "" for ad-hoc jobs)
+	Cell  string      // aggregation cell (set by Spec.Compile)
 	Src   *rng.Source // private generator, pre-split at compile time
 	// Run executes the job from src on the worker's Arena.
 	Run func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
@@ -180,12 +180,11 @@ type Config struct {
 	Remote Remote
 }
 
-// Run executes jobs on a worker pool and returns one JobResult per job, in
-// job-index order. Job-level errors are recorded in the results (join them
-// with JoinErrors if the caller wants all-or-nothing semantics); the
-// returned error is non-nil only when ctx was cancelled, in which case the
-// results for jobs that did complete are still returned and the rest are
-// marked Skipped.
+// Run executes compiled jobs on a worker pool and returns one JobResult
+// per job, in job-index order. Job-level errors are recorded in the
+// results; the returned error is non-nil only when ctx was cancelled, in
+// which case the results for jobs that did complete are still returned
+// and the rest are marked Skipped.
 func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
 	results := newResults(len(jobs))
 	return results, runLocal(ctx, jobs, results, cfg, nil)
@@ -307,36 +306,19 @@ func cancelled(ctx context.Context, results []JobResult) error {
 type batch struct{ lo, hi int }
 
 // sliceBatches partitions the job list into scheduling units: maximal
-// runs of consecutive jobs sharing a non-empty Cell, capped at
-// ⌈pending/workers⌉ jobs so the pending work spreads over the whole pool
-// (with as many equal cells as workers, every unit is a whole cell). Jobs
-// without a cell are singleton batches, preserving the per-trial
-// granularity of ad-hoc job lists.
+// runs of consecutive jobs sharing a Cell, capped at ⌈pending/workers⌉
+// jobs so the pending work spreads over the whole pool (with as many
+// equal cells as workers, every unit is a whole cell).
 func sliceBatches(jobs []Job, pending, workers int) []batch {
 	size := (pending + workers - 1) / workers // 0 (uncapped) when nothing is pending
 	batches := make([]batch, 0, len(jobs))
 	for lo := 0; lo < len(jobs); {
 		hi := lo + 1
-		if jobs[lo].Cell != "" {
-			for hi < len(jobs) && jobs[hi].Cell == jobs[lo].Cell && (size <= 0 || hi-lo < size) {
-				hi++
-			}
+		for hi < len(jobs) && jobs[hi].Cell == jobs[lo].Cell && (size <= 0 || hi-lo < size) {
+			hi++
 		}
 		batches = append(batches, batch{lo, hi})
 		lo = hi
 	}
 	return batches
-}
-
-// JoinErrors returns the job-level errors of results joined in job-index
-// order, or nil if every job succeeded. Skipped jobs' cancellation errors
-// are included, so after a cancelled Run this is non-nil.
-func JoinErrors(results []JobResult) error {
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
-	}
-	return errors.Join(errs...)
 }

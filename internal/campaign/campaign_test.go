@@ -15,14 +15,23 @@ import (
 	"dyntreecast/internal/rng"
 )
 
+// named returns one parameterless scenario per family name.
+func named(families ...string) []Scenario {
+	out := make([]Scenario, len(families))
+	for i, f := range families {
+		out[i] = Scenario{Adversary: f}
+	}
+	return out
+}
+
 func detSpec() Spec {
 	return Spec{
-		Name:        "determinism",
-		Adversaries: []string{"random-tree", "random-path", "k-leaves"},
-		Ns:          []int{8, 16},
-		Ks:          []int{2, 3},
-		Trials:      8,
-		Seed:        42,
+		Name: "determinism",
+		Scenarios: append(named("random-tree", "random-path"),
+			Scenario{Adversary: "k-leaves", Params: map[string]any{"k": []int{2, 3}}}),
+		Ns:     []int{8, 16},
+		Trials: 8,
+		Seed:   42,
 	}
 }
 
@@ -101,41 +110,32 @@ func TestSpecValidate(t *testing.T) {
 		mutate func(*Spec)
 		want   string
 	}{
-		{"no adversaries", func(s *Spec) { s.Adversaries = nil }, "at least one scenario"},
-		{"unknown adversary", func(s *Spec) { s.Adversaries = []string{"omniscient"} }, "unknown adversary"},
-		{"k-family without ks", func(s *Spec) { s.Ks = nil }, "no ks"},
-		{"mixed forms", func(s *Spec) {
-			s.Scenarios = []Scenario{{Adversary: "random-tree"}}
-		}, "mixes scenarios"},
+		{"no scenarios", func(s *Spec) { s.Scenarios = nil }, "at least one scenario"},
 		{"unsupported version", func(s *Spec) { s.Version = 3 }, "unsupported spec version"},
-		{"v2 with legacy fields", func(s *Spec) { s.Version = 2 }, "not adversaries/ks"},
+		{"retired version 1", func(s *Spec) { s.Version = 1 }, "use the scenario form"},
 		{"unknown scenario adversary", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "omniscient"}}
 		}, "unknown adversary"},
 		{"unknown scenario param", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "random-tree", Params: map[string]any{"k": 2}}}
 		}, `no param "k"`},
 		{"missing required param", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "k-leaves"}}
 		}, "missing required param"},
 		{"wrong param kind", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": "two"}}}
 		}, "want int"},
 		{"fractional int param", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": 2.5}}}
 		}, "want int"},
 		{"scenario check named", func(s *Spec) {
-			s.Adversaries, s.Ks = nil, nil
 			s.Scenarios = []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": 0}}}
 		}, `scenario k-leaves{"k":0}`},
 		{"no ns", func(s *Spec) { s.Ns = nil }, "at least one n"},
 		{"bad n", func(s *Spec) { s.Ns = []int{0} }, "n must be"},
-		{"bad k", func(s *Spec) { s.Ks = []int{0} }, "k must be"},
+		{"bad k", func(s *Spec) {
+			s.Scenarios = []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": []int{2, 0}}}}
+		}, "k must be"},
 		{"bad trials", func(s *Spec) { s.Trials = 0 }, "trials must be"},
 		{"bad goal", func(s *Spec) { s.Goal = "multicast" }, "unknown goal"},
 		{"bad max rounds", func(s *Spec) { s.MaxRounds = -1 }, "max_rounds"},
@@ -155,7 +155,8 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestCompileEmptyGrid(t *testing.T) {
-	spec := Spec{Adversaries: []string{"k-leaves"}, Ns: []int{2}, Ks: []int{5}, Trials: 3, Seed: 1}
+	spec := Spec{Scenarios: []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": 5}}},
+		Ns: []int{2}, Trials: 3, Seed: 1}
 	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "empty grid") {
 		t.Errorf("err = %v, want empty-grid error", err)
 	}
@@ -286,9 +287,6 @@ func TestCancellation(t *testing.T) {
 		t.Errorf("completed/failed/skipped = %d/%d/%d, want %d/%d/%d",
 			completed, failed, skipped, quick, blocking, len(jobs)-quick-blocking)
 	}
-	if err := JoinErrors(out.results); !errors.Is(err, context.Canceled) {
-		t.Errorf("JoinErrors = %v, want to include context.Canceled", err)
-	}
 	// All pool goroutines must be gone (allow the runtime some slack).
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -303,12 +301,12 @@ func TestRunSpecCollectsJobErrors(t *testing.T) {
 	// A 2-round budget is far too small for gossip at n=32, so every job
 	// fails; the campaign must finish anyway and account for the failures.
 	spec := Spec{
-		Adversaries: []string{"random-tree"},
-		Ns:          []int{32},
-		Trials:      6,
-		Seed:        7,
-		Goal:        "gossip",
-		MaxRounds:   2,
+		Scenarios: named("random-tree"),
+		Ns:        []int{32},
+		Trials:    6,
+		Seed:      7,
+		Goal:      "gossip",
+		MaxRounds: 2,
 	}
 	o, err := RunSpec(context.Background(), spec, Config{Workers: 3})
 	if err != nil {
@@ -326,7 +324,7 @@ func TestRunSpecCollectsJobErrors(t *testing.T) {
 }
 
 func TestArtifactRoundTrip(t *testing.T) {
-	spec := Spec{Adversaries: []string{"random-path"}, Ns: []int{8}, Trials: 4, Seed: 3}
+	spec := Spec{Scenarios: named("random-path"), Ns: []int{8}, Trials: 4, Seed: 3}
 	o, err := RunSpec(context.Background(), spec, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +365,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 func TestLoadSpec(t *testing.T) {
-	good := `{"name":"x","adversaries":["random-tree"],"ns":[8],"trials":2,"seed":9}`
+	good := `{"name":"x","scenarios":[{"adversary":"random-tree"}],"ns":[8],"trials":2,"seed":9}`
 	spec, err := LoadSpec(strings.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +373,7 @@ func TestLoadSpec(t *testing.T) {
 	if spec.Name != "x" || spec.Seed != 9 || spec.Trials != 2 {
 		t.Errorf("loaded spec wrong: %+v", spec)
 	}
-	if _, err := LoadSpec(strings.NewReader(`{"adversaries":["random-tree"],"workerz":3}`)); err == nil {
+	if _, err := LoadSpec(strings.NewReader(`{"scenarios":[{"adversary":"random-tree"}],"workerz":3}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -388,7 +386,7 @@ func TestRunEmptyJobs(t *testing.T) {
 }
 
 func TestGossipGoal(t *testing.T) {
-	spec := Spec{Adversaries: []string{"random-tree"}, Ns: []int{8}, Trials: 4, Seed: 5, Goal: "gossip"}
+	spec := Spec{Scenarios: named("random-tree"), Ns: []int{8}, Trials: 4, Seed: 5, Goal: "gossip"}
 	o, err := RunSpec(context.Background(), spec, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -396,18 +394,25 @@ func TestGossipGoal(t *testing.T) {
 	if o.Failed != 0 {
 		t.Fatalf("gossip campaign failed: %v", o.Errors)
 	}
-	cell, ok := CellByKey(o.Cells, CellKey("random-tree", 8, -1))
+	cell, ok := CellByKey(o.Cells, "random-tree/n=8")
 	if !ok || cell.Mean <= 0 {
 		t.Errorf("gossip cell missing or empty: %+v ok=%v", cell, ok)
 	}
 }
 
+// TestCellKey pins the aggregation key format of a ground scenario's
+// cell: the family name, n, then every declared param in order.
 func TestCellKey(t *testing.T) {
-	if got := CellKey("k-leaves", 16, 2); got != "k-leaves/n=16/k=2" {
-		t.Errorf("CellKey = %q", got)
-	}
-	if got := CellKey("random-tree", 16, -1); got != "random-tree/n=16" {
-		t.Errorf("CellKey = %q", got)
+	for _, tc := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Adversary: "k-leaves", Params: map[string]any{"k": 2}}, "k-leaves/n=16/k=2"},
+		{Scenario{Adversary: "random-tree"}, "random-tree/n=16"},
+	} {
+		if got, err := CellName(tc.sc, 16); err != nil || got != tc.want {
+			t.Errorf("CellName(%s, 16) = %q, %v; want %q", tc.sc, got, err, tc.want)
+		}
 	}
 }
 
@@ -425,11 +430,11 @@ func TestWorkersDefaultAndClamp(t *testing.T) {
 
 func ExampleRunSpec() {
 	spec := Spec{
-		Name:        "quickstart",
-		Adversaries: []string{"static-path"},
-		Ns:          []int{8, 16},
-		Trials:      2,
-		Seed:        1,
+		Name:      "quickstart",
+		Scenarios: []Scenario{{Adversary: "static-path"}},
+		Ns:        []int{8, 16},
+		Trials:    2,
+		Seed:      1,
 	}
 	o, err := RunSpec(context.Background(), spec, Config{Workers: 2})
 	if err != nil {

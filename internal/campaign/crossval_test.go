@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -9,19 +8,19 @@ import (
 	"dyntreecast/internal/bounds"
 	"dyntreecast/internal/core"
 	"dyntreecast/internal/gamesolver"
-	"dyntreecast/internal/rng"
 )
 
-// TestExactCrossValidation cross-validates the fast measurement pipeline
-// against exhaustively solved small instances: for n ≤ 6 the campaign
-// pool measures the broadcast times certified by the beam and deep-line
-// search adversaries, and every measurement must sit at or below the
-// exact game value t*(Tn) from internal/gamesolver — which itself must
-// sit inside the paper's bound curves. A measurement above the exact
-// optimum would mean a broken engine (counting rounds wrong) or a broken
-// solver; an exact value outside the sandwich would falsify the bound
-// formulas. The schedules run as ad-hoc campaign jobs so the comparison
-// exercises the same pool, sources, and aggregation the real sweeps use.
+// TestExactCrossValidation cross-validates the engine against
+// exhaustively solved small instances: for n ≤ 6 core.BroadcastTime
+// replays the schedules certified by the beam and deep-line search
+// adversaries, and every replay must survive exactly the certified
+// rounds and sit at or below the exact game value t*(Tn) from
+// internal/gamesolver — which itself must sit inside the paper's bound
+// curves. A measurement above the exact optimum would mean a broken
+// engine (counting rounds wrong) or a broken solver; an exact value
+// outside the sandwich would falsify the bound formulas. The search
+// families' campaign path is pinned against the same values by
+// TestSearchFamiliesAtOrBelowExact.
 //
 // The n = 6 leg — previously out of reach — runs the parallel pruned
 // solver cold (tens of seconds on one core, less on many); it is skipped
@@ -47,29 +46,23 @@ func TestExactCrossValidation(t *testing.T) {
 		}
 
 		// Beam searches from several seeds plus the deep-line search, each
-		// measured as one campaign job replaying its schedule on a fresh
-		// engine.
-		var jobs []Job
-		addReplay := func(cell string, rep adversary.Replay, certified int) {
-			jobs = append(jobs, Job{
-				Index: len(jobs),
-				Cell:  cell,
-				Src:   rng.New(uint64(len(jobs) + 1)), // unused by Replay; jobs own a source by contract
-				Run: func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
-					rounds, err := core.BroadcastTime(n, rep)
-					if err != nil {
-						return nil, err
-					}
-					if rounds != certified {
-						return nil, fmt.Errorf("replay of %s survives %d rounds, search certified %d", cell, rounds, certified)
-					}
-					return []Measurement{{Cell: cell, Value: float64(rounds)}}, nil
-				},
-			})
+		// replaying its schedule on a fresh engine.
+		replay := func(name string, rep adversary.Replay, certified int) {
+			rounds, err := core.BroadcastTime(n, rep)
+			switch {
+			case err != nil:
+				t.Errorf("n=%d: replay of %s: %v", n, name, err)
+			case rounds != certified:
+				t.Errorf("n=%d: replay of %s survives %d rounds, search certified %d", n, name, rounds, certified)
+			case rounds > exact:
+				t.Errorf("n=%d: measured %s = %d rounds exceeds the exact optimum %d", n, name, rounds, exact)
+			case rounds < 1: // any schedule survives at least one round for n >= 2
+				t.Errorf("n=%d: %s measured %d rounds, want >= 1", n, name, rounds)
+			}
 		}
 		for seed := uint64(1); seed <= 4; seed++ {
 			rep, certified := adversary.BeamSearch(n, adversary.BeamConfig{Width: 8, Seed: seed})
-			addReplay(fmt.Sprintf("beam/n=%d/seed=%d", n, seed), rep, certified)
+			replay(fmt.Sprintf("beam seed=%d", seed), rep, certified)
 		}
 		budget, width := 4000, 8
 		if n == 6 {
@@ -81,23 +74,7 @@ func TestExactCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DeepestLine(%d): %v", n, err)
 		}
-		addReplay(fmt.Sprintf("deepline/n=%d", n), adversary.Replay{Trees: line}, certified)
-
-		results, err := Run(context.Background(), jobs, Config{Workers: 2})
-		if err != nil {
-			t.Fatalf("n=%d: campaign Run: %v", n, err)
-		}
-		if err := JoinErrors(results); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for _, c := range Aggregate(results) {
-			if int(c.Max) > exact {
-				t.Errorf("n=%d: campaign-measured %s = %v rounds exceeds the exact optimum %d", n, c.Cell, c.Max, exact)
-			}
-			if int(c.Max) < bounds.Lower(2) { // any schedule survives at least one round for n >= 2
-				t.Errorf("n=%d: %s measured %v rounds, want >= 1", n, c.Cell, c.Max)
-			}
-		}
+		replay("deep-line", adversary.Replay{Trees: line}, certified)
 		// The deep-line search is exhaustive-with-budget at these sizes:
 		// it must certify the exact optimum for n ≤ 4 (and may for 5),
 		// and at n = 6 the E7 configuration reaches t*(T6) too, pinning

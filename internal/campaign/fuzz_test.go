@@ -9,16 +9,17 @@ import (
 
 // FuzzSpecJSON fuzzes the spec decode → canonicalize → re-encode cycle,
 // the untrusted path behind cmd/campaign -spec, campaignd submissions,
-// and cluster cell leases. Pinned properties, for both the legacy
-// adversaries/ks form and the v2 scenario form: parsing and
-// canonicalization never panic; canonicalization is idempotent; the
-// canonical form survives a JSON round-trip unchanged; and every
-// spelling of a grid shares one SpecHash — the identity campaignd's
-// campaign ids key on, as the cell cache and the cluster handshake key on
-// the canonical cells.
+// and cluster cell leases. Pinned properties: parsing and
+// canonicalization never panic; a spec in the retired adversaries/ks
+// schema (either field, or "version": 1) is rejected; canonicalization is
+// idempotent; the canonical form survives a JSON round-trip unchanged;
+// and every spelling of a grid shares one SpecHash — the identity
+// campaignd's campaign ids key on, as the cell cache and the cluster
+// handshake key on the canonical cells. The seed-legacy corpus entry is
+// a retired-schema spec.
 func FuzzSpecJSON(f *testing.F) {
-	f.Add([]byte(`{"adversaries":["random-tree"],"ns":[8],"trials":2,"seed":1}`))
-	f.Add([]byte(`{"version":1,"adversaries":["k-leaves"],"ks":[2,3],"ns":[8,16],"trials":4,"seed":7,"goal":"gossip"}`))
+	f.Add([]byte(`{"scenarios":[{"adversary":"random-tree"}],"ns":[8],"trials":2,"seed":1}`))
+	f.Add([]byte(`{"scenarios":[{"adversary":"k-leaves","params":{"k":[2,3]}}],"ns":[8,16],"trials":4,"seed":7,"goal":"gossip"}`))
 	f.Add([]byte(`{"version":2,"scenarios":[{"adversary":"k-leaves","params":{"k":[2,3]}}],"ns":[8],"trials":2,"seed":1}`))
 	f.Add([]byte(`{"version":2,"scenarios":[{"adversary":"two-phase-path","params":{"switch_at":3}}],"ns":[9],"trials":1,"seed":3,"max_rounds":50}`))
 	f.Add([]byte(`{"version":3,"ns":[8],"trials":1,"seed":1}`))
@@ -28,14 +29,18 @@ func FuzzSpecJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := LoadSpec(bytes.NewReader(data))
-		if err != nil {
-			return
+		var canon Spec
+		if err == nil {
+			if canon, err = spec.Canonical(); err != nil {
+				// Invalid specs must still hash deterministically (the hash
+				// of the raw form), never panic.
+				_ = SpecHash(spec)
+			}
 		}
-		canon, err := spec.Canonical()
+		if retiredSchema(data) && err == nil {
+			t.Fatalf("spec in the retired adversaries/ks schema accepted: %s", data)
+		}
 		if err != nil {
-			// Invalid specs must still hash deterministically (the hash of
-			// the raw form), never panic.
-			_ = SpecHash(spec)
 			return
 		}
 		// Idempotence: canonicalizing the canonical form is the identity.
@@ -68,4 +73,20 @@ func FuzzSpecJSON(f *testing.F) {
 			t.Fatalf("spec hash differs across equivalent spellings of: %s", data)
 		}
 	})
+}
+
+// retiredSchema reports whether data is a JSON object in the retired
+// adversaries/ks schema: it carries either field, or "version": 1. Keys
+// match as LoadSpec matches them: case-insensitively, the last one
+// winning.
+func retiredSchema(data []byte) bool {
+	var probe struct {
+		Version     float64         `json:"version"`
+		Adversaries json.RawMessage `json:"adversaries"`
+		Ks          json.RawMessage `json:"ks"`
+	}
+	if json.Unmarshal(data, &probe) != nil {
+		return false
+	}
+	return probe.Adversaries != nil || probe.Ks != nil || probe.Version == 1
 }

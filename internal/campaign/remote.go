@@ -96,9 +96,10 @@ type RemoteSession interface {
 // remote work units, in compile order. This is the distribution-side view
 // of Compile: each job's single-cell Spec compiles (anywhere) to the
 // cell's exact trial streams, and Key is the same content address the
-// cell cache uses.
+// cell cache uses. It plans the grid without building a job per trial,
+// so its cost is O(cells) whatever the trial count.
 func (s *Spec) CellJobs() ([]CellJob, error) {
-	_, cells, canon, err := s.compile()
+	cells, canon, err := s.plan()
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +118,10 @@ func cellJob(canon Spec, c cellPlan) CellJob {
 	return CellJob{
 		Cell:   c.Cell,
 		Key:    c.Key,
-		Trials: len(c.JobIdx),
+		Trials: c.Hi - c.Lo,
 		Spec: Spec{
 			Version:   SpecVersion,
-			Scenarios: []Scenario{c.Scenario},
+			Scenarios: []Scenario{c.ground.scenario()},
 			Ns:        []int{c.N},
 			Trials:    canon.Trials,
 			Seed:      canon.Seed,
@@ -145,7 +146,7 @@ func ExecuteCellJob(ctx context.Context, job CellJob) ([][]Measurement, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", job.Cell, err)
 	}
-	if len(cells) != 1 || len(jobs) != len(cells[0].JobIdx) {
+	if len(cells) != 1 {
 		return nil, fmt.Errorf("campaign: cell %s: spec compiles to %d cells, want exactly 1", job.Cell, len(cells))
 	}
 	if cells[0].Key != job.Key {
@@ -193,10 +194,10 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 	var cellJobs []CellJob
 	done := len(jobs)
 	for _, c := range cells {
-		if !results[c.JobIdx[0]].Skipped {
+		if !results[c.Lo].Skipped {
 			continue
 		}
-		done -= len(c.JobIdx)
+		done -= c.Hi - c.Lo
 		if _, ok := work[c.Key]; !ok {
 			cellJobs = append(cellJobs, cellJob(canon, c))
 		}
@@ -235,7 +236,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 		}
 		if landed != nil {
 			for _, plan := range plans {
-				landed(plan.JobIdx[0]+lo, plan.JobIdx[0]+hi)
+				landed(plan.Lo+lo, plan.Lo+hi)
 			}
 		}
 	}
@@ -244,7 +245,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 		if !ok {
 			return
 		}
-		n := len(plans[0].JobIdx)
+		n := plans[0].Hi - plans[0].Lo
 		var rs []JobResult
 		if lo < 0 || hi > n || lo > hi || len(trials) != hi-lo {
 			// The Remote contract (and the coordinator's result
@@ -257,7 +258,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 				len(trials), plans[0].Cell, lo, hi, n)
 			for _, plan := range plans {
 				for ti := max(lo, 0); ti < min(hi, n); ti++ {
-					rs = append(rs, JobResult{Index: plan.JobIdx[ti], Err: err})
+					rs = append(rs, JobResult{Index: plan.Lo + ti, Err: err})
 				}
 			}
 			fire(rs, nil, 0, 0)
@@ -267,7 +268,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 		// position needs no cross-shard bookkeeping.
 		for _, plan := range plans {
 			for ti := lo; ti < hi; ti++ {
-				rs = append(rs, JobResult{Index: plan.JobIdx[ti], Measurements: trials[ti-lo]})
+				rs = append(rs, JobResult{Index: plan.Lo + ti, Measurements: trials[ti-lo]})
 			}
 		}
 		fire(rs, plans, lo, hi)
@@ -312,7 +313,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 							// drain-on-cancel.
 							return
 						}
-						idx := plan.JobIdx[ti]
+						idx := plan.Lo + ti
 						ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
 						rs = append(rs, JobResult{Index: idx, Measurements: ms, Err: err})
 					}

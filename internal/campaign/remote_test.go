@@ -403,6 +403,26 @@ func TestRunSpecRemoteCancellation(t *testing.T) {
 	}
 }
 
+// TestCellJobsPlansWithoutJobs: CellJobs plans a spec's cells without
+// building a job per trial, so its allocations grow with the cell count,
+// not the trial count — campaignd's submit handler and the store's ingest
+// path call it on untrusted specs.
+func TestCellJobsPlansWithoutJobs(t *testing.T) {
+	allocs := func(trials int) float64 {
+		spec := Spec{Scenarios: named("random-tree"), Ns: []int{8}, Trials: trials, Seed: 1}
+		return testing.AllocsPerRun(5, func() {
+			if jobs, err := spec.CellJobs(); err != nil || len(jobs) != 1 || jobs[0].Trials != trials {
+				t.Fatalf("CellJobs = %+v, %v; want one cell of %d trials", jobs, err, trials)
+			}
+		})
+	}
+	// A longer trial count in the cache key may cost a byte buffer; a job
+	// per trial would cost ten million.
+	if one, many := allocs(1), allocs(10_000_000); many > 2*one {
+		t.Errorf("CellJobs allocates %v times for 10⁷ trials, %v for 1: want O(cells)", many, one)
+	}
+}
+
 // TestCellJobsSelfContained: every CellJob's embedded spec recompiles —
 // anywhere — to exactly its own cell, with the same content address the
 // cache uses, and ExecuteCellJob rejects tampered addresses.
@@ -420,7 +440,7 @@ func TestCellJobsSelfContained(t *testing.T) {
 		t.Fatalf("CellJobs returned %d jobs for %d cells", len(cellJobs), len(cells))
 	}
 	for i, j := range cellJobs {
-		if j.Key != cells[i].Key || j.Cell != cells[i].Cell || j.Trials != len(cells[i].JobIdx) {
+		if j.Key != cells[i].Key || j.Cell != cells[i].Cell || j.Trials != cells[i].Hi-cells[i].Lo {
 			t.Errorf("cell job %d = %+v does not match plan %+v", i, j, cells[i])
 		}
 		trials, err := ExecuteCellJob(context.Background(), j)

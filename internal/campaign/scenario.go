@@ -145,7 +145,7 @@ func (sc Scenario) String() string {
 
 // registry is the process-wide family table. Built-ins are installed by
 // init; Register appends. Order is canonical: it fixes Families(),
-// Adversaries(), and legacy-spec expansion order.
+// Adversaries(), and the experiment portfolio's order.
 var (
 	regMu     sync.RWMutex
 	regOrder  []string
@@ -315,8 +315,7 @@ func (g groundScenario) scenario() Scenario {
 
 // cellName is the human-readable aggregation key of the scenario at n:
 // the family name, n, then each declared param in declaration order —
-// "k-leaves/n=16/k=2", matching the pre-v2 CellKey format for the
-// built-in k families.
+// "k-leaves/n=16/k=2" for the built-in k families.
 func (g groundScenario) cellName(n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/n=%d", g.family.Name, n)

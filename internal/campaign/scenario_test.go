@@ -14,80 +14,56 @@ import (
 	"dyntreecast/internal/tree"
 )
 
-// TestLegacySpecCanonicalizesToScenarios is the schema-bridge golden
-// test: a legacy adversaries/ks spec and its hand-written scenario-form
-// equivalent canonicalize to the same spec, hash to the same spec hash
-// and cache keys, and produce byte-identical artifacts.
-func TestLegacySpecCanonicalizesToScenarios(t *testing.T) {
-	legacy := Spec{
-		Name:        "golden",
-		Adversaries: []string{"random-tree", "k-leaves"},
-		Ns:          []int{8, 16},
-		Ks:          []int{2, 3},
-		Trials:      4,
-		Seed:        42,
+// TestLegacySpecRejected: the retired adversaries/ks schema — as JSON
+// fields or as "version": 1 — is rejected by LoadSpec and Canonical with
+// an error that points at the scenario form.
+func TestLegacySpecRejected(t *testing.T) {
+	legacy := `{"name":"golden","adversaries":["random-tree","k-leaves"],"ks":[2,3],"ns":[8,16],"trials":4,"seed":42}`
+	if _, err := LoadSpec(strings.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "scenario form") {
+		t.Errorf("LoadSpec(legacy) err = %v, want a pointer to the scenario form", err)
 	}
-	scenario := Spec{
-		Version: 2,
-		Name:    "golden",
+	ksOnly := `{"scenarios":[{"adversary":"k-leaves"}],"ks":[2],"ns":[8],"trials":1,"seed":1}`
+	if _, err := LoadSpec(strings.NewReader(ksOnly)); err == nil || !strings.Contains(err.Error(), "scenario form") {
+		t.Errorf("LoadSpec(ks) err = %v, want a pointer to the scenario form", err)
+	}
+	v1, err := LoadSpec(strings.NewReader(`{"version":1,"scenarios":[{"adversary":"random-tree"}],"ns":[8],"trials":1,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v1.Canonical(); err == nil || !strings.Contains(err.Error(), "scenario form") {
+		t.Errorf("Canonical(version 1) err = %v, want a pointer to the scenario form", err)
+	}
+}
+
+// TestSpecHashPinned pins the identity of one scenario spec, and of one
+// of its cells, to the bytes recorded before the retired adversaries/ks
+// schema was removed: campaign ids, cache keys and artifacts keep them.
+func TestSpecHashPinned(t *testing.T) {
+	spec := Spec{
+		Name: "pin",
 		Scenarios: []Scenario{
 			{Adversary: "random-tree"},
 			{Adversary: "k-leaves", Params: map[string]any{"k": []any{2, 3}}},
 		},
-		Ns:     []int{8, 16},
-		Trials: 4,
-		Seed:   42,
+		Ns: []int{8, 16}, Trials: 4, Seed: 7, Goal: "gossip", MaxRounds: 300,
 	}
-
-	lc, err := legacy.Canonical()
+	if got, want := SpecHash(spec), "31d80e82344553e460bfc1c910754f02aa10b4a076cd24eaf792dd6d6e37d714"; got != want {
+		t.Errorf("SpecHash = %s, want %s", got, want)
+	}
+	if got, want := cellKeyFor(t, spec, "k-leaves", 16, 3), "7c04082def111501986e131b518d552bc0cd212ab9c9438431d7ef759f52dce6"; got != want {
+		t.Errorf("cell key of k-leaves/n=16/k=3 = %s, want %s", got, want)
+	}
+	canon, err := spec.Canonical()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sc, err := scenario.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lc, sc) {
-		t.Fatalf("canonical forms differ:\n%+v\nvs\n%+v", lc, sc)
 	}
 	wantScens := []Scenario{
 		{Adversary: "random-tree"},
 		{Adversary: "k-leaves", Params: map[string]any{"k": float64(2)}},
 		{Adversary: "k-leaves", Params: map[string]any{"k": float64(3)}},
 	}
-	if !reflect.DeepEqual(lc.Scenarios, wantScens) {
-		t.Errorf("canonical scenarios = %+v, want %+v", lc.Scenarios, wantScens)
-	}
-	if lc.Version != SpecVersion || lc.Adversaries != nil || lc.Ks != nil {
-		t.Errorf("canonical spec keeps legacy fields: %+v", lc)
-	}
-
-	if SpecHash(legacy) != SpecHash(scenario) {
-		t.Error("legacy and scenario forms hash to different spec hashes")
-	}
-	for _, probe := range []struct {
-		adv  string
-		n, k int
-	}{{"random-tree", 8, -1}, {"k-leaves", 16, 2}, {"k-leaves", 8, 3}} {
-		if cellKeyFor(t, legacy, probe.adv, probe.n, probe.k) != cellKeyFor(t, scenario, probe.adv, probe.n, probe.k) {
-			t.Errorf("cache key for %s/n=%d/k=%d differs between forms", probe.adv, probe.n, probe.k)
-		}
-	}
-
-	lo, err := RunSpec(context.Background(), legacy, Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := RunSpec(context.Background(), scenario, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(artifactBytes(t, lo), artifactBytes(t, so)) {
-		t.Error("legacy-form artifact differs from scenario-form artifact")
-	}
-	// The canonical cell names keep the pre-v2 shape for the k families.
-	if _, ok := CellByKey(lo.Cells, "k-leaves/n=16/k=2"); !ok {
-		t.Errorf("expected cell k-leaves/n=16/k=2; cells: %+v", lo.Cells)
+	if canon.Version != SpecVersion || !reflect.DeepEqual(canon.Scenarios, wantScens) {
+		t.Errorf("canonical spec = %+v, want version %d and scenarios %+v", canon, SpecVersion, wantScens)
 	}
 }
 
@@ -430,7 +406,7 @@ func TestStringParamSeparatorsRejected(t *testing.T) {
 }
 
 // TestFamiliesOrderStable: built-ins come first in declaration order, so
-// the experiment portfolio and legacy expansion never reshuffle.
+// the experiment portfolio never reshuffles.
 func TestFamiliesOrderStable(t *testing.T) {
 	names := Adversaries()
 	wantPrefix := []string{"static-path", "random-tree", "random-path", "ascending-path",

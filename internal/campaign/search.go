@@ -135,7 +135,7 @@ func deepLineSchedule(n int, p Params) ([]*tree.Tree, error) {
 
 // searchFamilies declares the search-backed registry entries, installed
 // by the same init as builtinFamilies (after them, so the portfolio
-// prefix and legacy expansion order never move).
+// prefix never moves).
 func searchFamilies() []Family {
 	return []Family{
 		{

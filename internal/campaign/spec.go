@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"dyntreecast/internal/campaign/cache"
@@ -28,70 +29,55 @@ import (
 // scenario parameters instead of the old closed adversary/k form.
 const EngineVersion = "dyntreecast-engine/3"
 
-// SpecVersion is the current spec schema version: the scenario form.
-// Specs with Version 0 or 1 may use the legacy adversaries/ks fields,
-// which Canonical converts into scenarios.
+// SpecVersion is the spec schema version: the scenario form. A spec with
+// Version 0 is read as the same schema; Version 1, the retired
+// adversaries/ks form, is rejected with an error that names the scenario
+// form.
 const SpecVersion = 2
+
+// scenarioFormHint ends every error about the retired schema.
+const scenarioFormHint = `use the scenario form: "scenarios": [{"adversary": NAME, "params": {...}}]`
 
 // Spec declaratively describes a campaign: the cross product of
 // Scenarios × Ns × Trials, run toward Goal, seeded by Seed. A Spec plus
 // its seed fully determines the campaign's Outcome, independent of
 // worker count.
 //
-// Two schema forms are accepted (the Version field selects; see
-// Canonical):
-//
-//   - scenario form (Version 2, or 0 with Scenarios set): each Scenario
-//     names a registered adversary family with a JSON parameter
-//     assignment; array-valued params expand as axes;
-//   - legacy form (Version 1, or 0 with Adversaries set): a list of
-//     family names plus one shared Ks axis consumed by the families
-//     declaring a required "k" param. Canonical rewrites it into
-//     scenarios, so both spellings of a grid share cache keys and
-//     artifacts byte for byte.
+// Each Scenario names a registered adversary family with a JSON
+// parameter assignment; array-valued params expand as axes.
 type Spec struct {
-	Version     int        `json:"version,omitempty"`
-	Name        string     `json:"name,omitempty"`
-	Scenarios   []Scenario `json:"scenarios,omitempty"`
-	Adversaries []string   `json:"adversaries,omitempty"` // legacy form
-	Ks          []int      `json:"ks,omitempty"`          // legacy form's shared k axis
-	Ns          []int      `json:"ns"`
-	Trials      int        `json:"trials"`
-	Seed        uint64     `json:"seed"`
-	Goal        string     `json:"goal,omitempty"`       // "broadcast" (default) or "gossip"
-	MaxRounds   int        `json:"max_rounds,omitempty"` // 0 = the engine default n²+1
-}
-
-// CellKey is the aggregation key of one simple grid point, shared with
-// the experiment harness's hand-built grids. k < 0 means no k axis. Cells
-// of compiled scenario specs follow the same shape with every declared
-// param appended ("k-leaves/n=16/k=2").
-func CellKey(adv string, n, k int) string {
-	if k < 0 {
-		return fmt.Sprintf("%s/n=%d", adv, n)
-	}
-	return fmt.Sprintf("%s/n=%d/k=%d", adv, n, k)
+	Version   int        `json:"version,omitempty"`
+	Name      string     `json:"name,omitempty"`
+	Scenarios []Scenario `json:"scenarios,omitempty"`
+	Ns        []int      `json:"ns"`
+	Trials    int        `json:"trials"`
+	Seed      uint64     `json:"seed"`
+	Goal      string     `json:"goal,omitempty"`       // "broadcast" (default) or "gossip"
+	MaxRounds int        `json:"max_rounds,omitempty"` // 0 = the engine default n²+1
 }
 
 // Canonical validates the spec and returns its canonical form: Version
-// set to SpecVersion, the legacy adversaries/ks fields rewritten into
-// scenarios, every scenario ground (axes expanded in declaration order,
-// defaults filled, values normalized). Canonicalization is idempotent,
-// and every equivalent spelling of a grid — legacy or scenario, axis
-// list or expanded — converges to the same canonical spec, which is why
-// they share cache keys, spec hashes, and artifact bytes.
+// set to SpecVersion, every scenario ground (axes expanded in
+// declaration order, defaults filled, values normalized).
+// Canonicalization is idempotent, and every equivalent spelling of a
+// grid — axis list or expanded — converges to the same canonical spec,
+// which is why they share cache keys, spec hashes, and artifact bytes.
 func (s *Spec) Canonical() (Spec, error) {
 	canon, _, err := s.canonical()
 	return canon, err
 }
 
 func (s *Spec) canonical() (Spec, []groundScenario, error) {
-	scenarios, err := s.scenarioForm()
-	if err != nil {
-		return Spec{}, nil, err
+	switch {
+	case s.Version == 1:
+		return Spec{}, nil, fmt.Errorf("campaign: spec version 1 (the retired adversaries/ks form) is no longer accepted; %s", scenarioFormHint)
+	case s.Version < 0 || s.Version > SpecVersion:
+		return Spec{}, nil, fmt.Errorf("campaign: unsupported spec version %d (this engine speaks %d)", s.Version, SpecVersion)
+	case len(s.Scenarios) == 0:
+		return Spec{}, nil, fmt.Errorf("campaign: spec needs at least one scenario")
 	}
 	var grounds []groundScenario
-	for _, sc := range scenarios {
+	for _, sc := range s.Scenarios {
 		g, err := expandScenario(sc)
 		if err != nil {
 			return Spec{}, nil, err
@@ -119,7 +105,6 @@ func (s *Spec) canonical() (Spec, []groundScenario, error) {
 	}
 	canon := *s
 	canon.Version = SpecVersion
-	canon.Adversaries, canon.Ks = nil, nil
 	canon.Scenarios = make([]Scenario, len(grounds))
 	for i, g := range grounds {
 		canon.Scenarios[i] = g.scenario()
@@ -127,86 +112,13 @@ func (s *Spec) canonical() (Spec, []groundScenario, error) {
 	return canon, grounds, nil
 }
 
-// scenarioForm resolves which schema form the spec uses and returns its
-// scenarios (converting the legacy fields if needed).
-func (s *Spec) scenarioForm() ([]Scenario, error) {
-	switch {
-	case s.Version < 0 || s.Version > SpecVersion:
-		return nil, fmt.Errorf("campaign: unsupported spec version %d (this engine speaks <= %d)", s.Version, SpecVersion)
-	case s.Version == 1 && len(s.Scenarios) > 0:
-		return nil, fmt.Errorf("campaign: spec version 1 cannot carry scenarios (use version 2 or drop the version field)")
-	case s.Version == SpecVersion && (len(s.Adversaries) > 0 || len(s.Ks) > 0):
-		return nil, fmt.Errorf("campaign: spec version 2 uses scenarios, not adversaries/ks")
-	case len(s.Scenarios) > 0 && (len(s.Adversaries) > 0 || len(s.Ks) > 0):
-		return nil, fmt.Errorf("campaign: spec mixes scenarios with legacy adversaries/ks; use one form")
-	case len(s.Scenarios) > 0:
-		return s.Scenarios, nil
-	case len(s.Adversaries) == 0:
-		return nil, fmt.Errorf("campaign: spec needs at least one scenario (or a legacy adversaries list)")
-	}
-	// Legacy form: one scenario per name; families that require a "k"
-	// param receive the shared Ks axis.
-	for _, k := range s.Ks {
-		if k < 1 {
-			return nil, fmt.Errorf("campaign: k must be >= 1, got %d", k)
-		}
-	}
-	scenarios := make([]Scenario, 0, len(s.Adversaries))
-	ksAxis := make([]any, len(s.Ks))
-	for i, k := range s.Ks {
-		ksAxis[i] = k
-	}
-	for _, name := range s.Adversaries {
-		f, ok := familyByName(name)
-		if !ok {
-			return nil, fmt.Errorf("campaign: unknown adversary %q (known: %v)", name, Adversaries())
-		}
-		if requiresK(f) {
-			if len(ksAxis) == 0 {
-				return nil, fmt.Errorf("campaign: spec names the k-parameterized adversary %q but has no ks", name)
-			}
-			scenarios = append(scenarios, Scenario{Adversary: name, Params: map[string]any{"k": ksAxis}})
-			continue
-		}
-		if missing := requiredParams(f); len(missing) > 0 {
-			return nil, fmt.Errorf("campaign: adversary %q requires params %v; use the scenario form", name, missing)
-		}
-		scenarios = append(scenarios, Scenario{Adversary: name})
-	}
-	return scenarios, nil
-}
-
-// requiresK reports whether the family consumes the legacy shared Ks
-// axis: it declares a required param named "k".
-func requiresK(f Family) bool {
-	for _, p := range f.Params {
-		if p.Name == "k" && p.Default == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// requiredParams lists the family's params with no default, other than
-// the legacy-bridged "k".
-func requiredParams(f Family) []string {
-	var out []string
-	for _, p := range f.Params {
-		if p.Default == nil && p.Name != "k" {
-			out = append(out, p.Name)
-		}
-	}
-	return out
-}
-
 // SpecHash returns the stable identity of a spec: a hex SHA-256 over the
 // engine version and the spec's canonical JSON (campaignd derives
 // campaign ids from it). Any change to the spec — or to the engine
 // semantics — yields a different hash. The hash covers what determines
 // results, not presentation: the display Name is ignored, the default
-// goal is spelled out, and the spec is canonicalized first (legacy
-// adversaries/ks rewritten into ground scenarios), so every equivalent
-// spelling of a campaign shares one hash. An invalid spec hashes its raw
+// goal is spelled out, and the spec is canonicalized first (scenarios
+// ground), so every equivalent spelling of a campaign shares one hash. An invalid spec hashes its raw
 // form.
 func SpecHash(spec Spec) string {
 	if canon, err := spec.Canonical(); err == nil {
@@ -275,58 +187,73 @@ func (s *Spec) cellCacheKey(g groundScenario, n int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cellPlan records one grid cell of a compiled spec: its coordinates, its
-// cache key, and the indexes of its jobs in trial order. Scenario and N
-// are the cell's canonical coordinates, kept so the remote layer can
-// rebuild the cell as a self-contained single-cell spec (see cellJob).
+// cellPlan records one grid cell of a planned spec: its coordinates, its
+// cache key, and the job-index range [Lo, Hi) of its trials, in trial
+// order. ground and N are the cell's canonical coordinates, kept so
+// compile can build the cell's jobs and the remote layer can rebuild the
+// cell as a self-contained single-cell spec (see cellJob).
 type cellPlan struct {
-	Cell     string   // display key (groundScenario.cellName)
-	Key      string   // content address (cellCacheKey)
-	Scenario Scenario // canonical ground scenario of the cell
-	N        int      // the cell's n coordinate
-	JobIdx   []int    // job indexes, one per trial, in trial order
+	Cell   string // display key (groundScenario.cellName)
+	Key    string // content address (cellCacheKey)
+	ground groundScenario
+	N      int // the cell's n coordinate
+	Lo, Hi int // job indexes of the cell's trials
 }
 
-// Compile validates the spec and expands its grid into jobs. The grid is
-// walked in a fixed nested order (scenario, n, trial), scenarios in
-// canonical order. Each cell's random streams are derived
+// plan validates the spec and lays out its grid without building jobs:
+// one cellPlan per feasible (scenario, n) point, walked in a fixed nested
+// order (scenario, n), scenarios in canonical order, each cell owning the
+// next Trials job indexes. Grid points the family reports infeasible
+// (e.g. k > n−1 for the restricted families) are skipped. Its cost is
+// O(cells), whatever the trial count.
+func (s *Spec) plan() ([]cellPlan, Spec, error) {
+	canon, grounds, err := s.canonical()
+	if err != nil {
+		return nil, Spec{}, err
+	}
+	var cells []cellPlan
+	lo := 0
+	for _, g := range grounds {
+		for _, n := range canon.Ns {
+			if !g.feasible(n) {
+				continue
+			}
+			cells = append(cells, cellPlan{Cell: g.cellName(n), Key: canon.cellCacheKey(g, n),
+				ground: g, N: n, Lo: lo, Hi: lo + canon.Trials})
+			lo += canon.Trials
+		}
+	}
+	if len(cells) == 0 {
+		return nil, Spec{}, fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
+	}
+	return cells, canon, nil
+}
+
+// Compile validates the spec and expands its planned grid into jobs, one
+// per trial, cell after cell. Each cell's random streams are derived
 // content-addressed — a root source seeded by a hash of (engine version,
 // seed, goal, round budget, canonical scenario, n), split serially in
 // trial order — so every cell's results are a pure function of the
 // spec's seed and the cell's own coordinates, independent of what else
-// the grid contains. Grid points the family reports infeasible (e.g.
-// k > n−1 for the restricted families) are skipped.
+// the grid contains.
 func (s *Spec) Compile() ([]Job, error) {
 	jobs, _, _, err := s.compile()
 	return jobs, err
 }
 
 func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
-	canon, grounds, err := s.canonical()
+	cells, canon, err := s.plan()
 	if err != nil {
 		return nil, nil, Spec{}, err
 	}
 	goal := canon.goal()
 	var jobs []Job
-	var cells []cellPlan
-	for _, g := range grounds {
-		for _, n := range canon.Ns {
-			if !g.feasible(n) {
-				continue
-			}
-			cell := g.cellName(n)
-			plan := cellPlan{Cell: cell, Key: canon.cellCacheKey(g, n), Scenario: g.scenario(), N: n}
-			root := rng.New(canon.cellSeed(g, n))
-			run := runCell(g, n, cell, goal, canon.MaxRounds)
-			for trial := 0; trial < canon.Trials; trial++ {
-				plan.JobIdx = append(plan.JobIdx, len(jobs))
-				jobs = append(jobs, Job{Index: len(jobs), Cell: cell, Src: root.Split(), Run: run})
-			}
-			cells = append(cells, plan)
+	for _, c := range cells {
+		root := rng.New(canon.cellSeed(c.ground, c.N))
+		run := runCell(c.ground, c.N, c.Cell, goal, canon.MaxRounds)
+		for range canon.Trials {
+			jobs = append(jobs, Job{Index: len(jobs), Cell: c.Cell, Src: root.Split(), Run: run})
 		}
-	}
-	if len(jobs) == 0 {
-		return nil, nil, Spec{}, fmt.Errorf("campaign: spec compiles to an empty grid (every scenario infeasible?)")
 	}
 	return jobs, cells, canon, nil
 }
@@ -355,7 +282,7 @@ func runCell(g groundScenario, n int, cell string, goal core.Goal, maxRounds int
 // It deliberately carries no timestamps or host details: two runs of the
 // same spec produce byte-identical JSON regardless of worker count. The
 // embedded Spec is the canonical form, so every equivalent spelling of a
-// grid — legacy or scenario — emits identical artifact bytes.
+// grid emits identical artifact bytes.
 type Outcome struct {
 	Spec      Spec        `json:"spec"`
 	Jobs      int         `json:"jobs"`
@@ -373,20 +300,55 @@ type Outcome struct {
 }
 
 // cellEntry is the JSON value stored in the cell cache: all of a cell's
-// per-trial measurements, in trial order.
+// per-trial measurements, in trial order. This package is the only one
+// that knows the format: readers outside it go through
+// SummarizeCellEntry.
 type cellEntry struct {
 	Cell   string          `json:"cell"`
 	Trials [][]Measurement `json:"trials"`
 }
 
+// decodeCellEntry decodes a cell-cache entry that must hold exactly
+// trials trials and returns their measurements in trial order.
+func decodeCellEntry(data []byte, trials int) ([][]Measurement, error) {
+	var ent cellEntry
+	if err := json.Unmarshal(data, &ent); err != nil {
+		return nil, fmt.Errorf("campaign: decoding cell entry: %w", err)
+	}
+	if len(ent.Trials) != trials {
+		return nil, fmt.Errorf("campaign: cell entry holds %d trials, want %d", len(ent.Trials), trials)
+	}
+	return ent.Trials, nil
+}
+
+// SummarizeCellEntry decodes a cell-cache entry that must hold exactly
+// trials trials and summarizes the named cell's measurements the way
+// Aggregate summarizes a live run — values pooled in trial order — so
+// stats read back from stored bytes match the artifact's bit for bit.
+// Torn, foreign or mis-sized bytes are an error.
+func SummarizeCellEntry(data []byte, cell string, trials int) (CellStats, error) {
+	ms, err := decodeCellEntry(data, trials)
+	if err != nil {
+		return CellStats{}, err
+	}
+	var xs []float64
+	for _, trial := range ms {
+		for _, m := range trial {
+			if m.Cell == cell {
+				xs = append(xs, m.Value)
+			}
+		}
+	}
+	return summarize(cell, xs), nil
+}
+
 // appendCellEntry appends to b the cache entry of the cell named cell
-// whose trials are results[idx[0]], results[idx[1]], … — byte for byte
-// the json.Marshal encoding of the matching cellEntry, which loadCell
-// decodes. It exists so the cell store can encode into one reused
+// whose trials are results, in order — byte for byte the json.Marshal
+// encoding of the matching cellEntry, which decodeCellEntry decodes. It exists so the cell store can encode into one reused
 // buffer: json.Marshal draws its scratch from a per-P pool, and the
 // storing goroutine, which wakes on whichever P is free, would regrow
 // that scratch on every miss.
-func appendCellEntry(b []byte, cell string, results []JobResult, idx []int) ([]byte, error) {
+func appendCellEntry(b []byte, cell string, results []JobResult) ([]byte, error) {
 	name, err := json.Marshal(cell)
 	if err != nil {
 		return b, err
@@ -394,11 +356,11 @@ func appendCellEntry(b []byte, cell string, results []JobResult, idx []int) ([]b
 	b = append(b, `{"cell":`...)
 	b = append(b, name...)
 	b = append(b, `,"trials":[`...)
-	for i, j := range idx {
+	for i, r := range results {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		ms := results[j].Measurements
+		ms := r.Measurements
 		if ms == nil {
 			b = append(b, "null"...)
 			continue
@@ -485,10 +447,10 @@ func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 			if !ok {
 				continue
 			}
-			for ti, idx := range c.JobIdx {
-				results[idx] = JobResult{Index: idx, Measurements: trials[ti]}
+			for ti, ms := range trials {
+				results[c.Lo+ti] = JobResult{Index: c.Lo + ti, Measurements: ms}
 			}
-			cacheHits += len(c.JobIdx)
+			cacheHits += len(trials)
 		}
 		st = newCellStore(cfg.Cache, cells, results)
 		landed = st.landed
@@ -543,9 +505,8 @@ func loadCell(c cache.Cache, plan cellPlan) ([][]Measurement, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	var ent cellEntry
-	if err := json.Unmarshal(data, &ent); err == nil && len(ent.Trials) == len(plan.JobIdx) {
-		return ent.Trials, true, nil
+	if trials, err := decodeCellEntry(data, plan.Hi-plan.Lo); err == nil {
+		return trials, true, nil
 	}
 	if d, ok := c.(cache.Deleter); ok {
 		if err := d.Delete(plan.Key); err != nil {
@@ -577,7 +538,7 @@ func newCellStore(c cache.Cache, cells []cellPlan, results []JobResult) *cellSto
 		queue: make(chan int, len(cells)), // each cell is queued at most once
 	}
 	for i, c := range cells {
-		st.left[i].Store(int64(len(c.JobIdx)))
+		st.left[i].Store(int64(c.Hi - c.Lo))
 	}
 	return st
 }
@@ -589,13 +550,10 @@ func (st *cellStore) landed(lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	i := sort.Search(len(st.cells), func(i int) bool {
-		idx := st.cells[i].JobIdx
-		return idx[len(idx)-1] >= lo
-	})
-	for ; i < len(st.cells) && st.cells[i].JobIdx[0] < hi; i++ {
-		idx := st.cells[i].JobIdx
-		n := min(hi, idx[len(idx)-1]+1) - max(lo, idx[0])
+	i := sort.Search(len(st.cells), func(i int) bool { return st.cells[i].Hi > lo })
+	for ; i < len(st.cells) && st.cells[i].Lo < hi; i++ {
+		c := st.cells[i]
+		n := min(hi, c.Hi) - max(lo, c.Lo)
 		if st.left[i].Add(-int64(n)) == 0 {
 			st.queue <- i
 		}
@@ -613,11 +571,12 @@ func (st *cellStore) drain() error {
 	)
 	for i := range st.queue {
 		c := st.cells[i]
-		if first != nil || slices.ContainsFunc(c.JobIdx, func(idx int) bool { return st.results[idx].Err != nil }) {
+		trials := st.results[c.Lo:c.Hi]
+		if first != nil || slices.ContainsFunc(trials, func(r JobResult) bool { return r.Err != nil }) {
 			continue
 		}
 		var err error
-		if buf, err = appendCellEntry(buf[:0], c.Cell, st.results, c.JobIdx); err != nil {
+		if buf, err = appendCellEntry(buf[:0], c.Cell, trials); err != nil {
 			first = fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
 		} else if err := st.cache.Put(c.Key, buf); err != nil {
 			first = fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
@@ -627,14 +586,18 @@ func (st *cellStore) drain() error {
 }
 
 // LoadSpec reads a JSON Spec from r, rejecting unknown fields so typos in
-// hand-written campaign files fail loudly. Both schema forms are
-// accepted; call Canonical (or any of the run paths, which do) to
+// hand-written campaign files fail loudly — among them the retired
+// adversaries/ks fields, whose error names the scenario form. Call
+// Canonical (or any of the run paths, which do) to validate and
 // normalize.
 func LoadSpec(r io.Reader) (Spec, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if msg := err.Error(); strings.Contains(msg, `unknown field "adversaries"`) || strings.Contains(msg, `unknown field "ks"`) {
+			return Spec{}, fmt.Errorf("campaign: decoding spec: %w (the adversaries/ks form is retired; %s)", err, scenarioFormHint)
+		}
 		return Spec{}, fmt.Errorf("campaign: decoding spec: %w", err)
 	}
 	return spec, nil

@@ -74,41 +74,3 @@ func (r *Runner) Run(n int, adv Adversary, goal Goal) (int, error) {
 	}
 	return e.round, nil
 }
-
-// BroadcastTime runs adv to broadcast completion on the pooled engine and
-// returns t* — the Runner form of the package-level BroadcastTime.
-func (r *Runner) BroadcastTime(n int, adv Adversary) (int, error) {
-	return r.Run(n, adv, Broadcast)
-}
-
-// GossipTime runs adv until every process has heard every value. Like
-// gossip.Time, termination is not guaranteed for adaptive adversaries:
-// set MaxRounds and handle ErrMaxRounds.
-func (r *Runner) GossipTime(n int, adv Adversary) (int, error) {
-	return r.Run(n, adv, Gossip)
-}
-
-// BothTimes runs adv once toward gossip completion and reports the round
-// at which broadcast completed and the round at which gossip completed —
-// the Runner form of gossip.BothTimes (broadcast is −1 if it never
-// completed within the budget).
-func (r *Runner) BothTimes(n int, adv Adversary) (broadcast, gossip int, err error) {
-	e := r.reset(n)
-	maxRounds := r.budget(n)
-	broadcast = -1
-	for !e.GossipDone() {
-		if e.round >= maxRounds {
-			return broadcast, e.round, fmt.Errorf("%w: %s incomplete after %d rounds (n=%d)",
-				ErrMaxRounds, Gossip, e.round, n)
-		}
-		t := adv.Next(e)
-		if t == nil || t.N() != n {
-			return broadcast, e.round, fmt.Errorf("%w: round %d", ErrBadTree, e.round+1)
-		}
-		e.Step(t)
-		if broadcast < 0 && e.BroadcastDone() {
-			broadcast = e.round
-		}
-	}
-	return broadcast, e.round, nil
-}

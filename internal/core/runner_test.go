@@ -67,7 +67,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			seed := uint64(n*100 + trial)
 			want, err1 := core.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
-			got, err2 := r.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
+			got, err2 := r.Run(n, adversary.NewRandom(rng.New(seed)), core.Broadcast)
 			if want != got || (err1 == nil) != (err2 == nil) {
 				t.Fatalf("n=%d trial %d: Runner %d (%v), Run %d (%v)", n, trial, got, err2, want, err1)
 			}
@@ -77,7 +77,7 @@ func TestRunnerMatchesRun(t *testing.T) {
 	for _, n := range []int{2, 8} {
 		seed := uint64(n)
 		want, err1 := core.Run(n, adversary.NewRandom(rng.New(seed)), core.Gossip)
-		got, err2 := r.GossipTime(n, adversary.NewRandom(rng.New(seed)))
+		got, err2 := r.Run(n, adversary.NewRandom(rng.New(seed)), core.Gossip)
 		if err1 != nil || err2 != nil || want.Rounds != got {
 			t.Fatalf("gossip n=%d: Runner %d (%v), Run %d (%v)", n, got, err2, want.Rounds, err1)
 		}
@@ -90,7 +90,7 @@ func TestRunnerMaxRoundsError(t *testing.T) {
 	r := core.NewRunner()
 	r.MaxRounds = 3
 	static := adversary.Static{Tree: tree.IdentityPath(16)}
-	got, err := r.BroadcastTime(16, static)
+	got, err := r.Run(16, static, core.Broadcast)
 	if !errors.Is(err, core.ErrMaxRounds) || got != 3 {
 		t.Fatalf("rounds=%d err=%v, want 3 rounds and ErrMaxRounds", got, err)
 	}
@@ -101,23 +101,27 @@ func TestRunnerMaxRoundsError(t *testing.T) {
 	// A bad tree fails identically too.
 	r.MaxRounds = 0
 	nilAdv := adversary.Func(func(core.View) *tree.Tree { return nil })
-	_, err = r.BroadcastTime(4, nilAdv)
+	_, err = r.Run(4, nilAdv, core.Broadcast)
 	_, werr = core.BroadcastTime(4, nilAdv)
 	if !errors.Is(err, core.ErrBadTree) || werr == nil || err.Error() != werr.Error() {
 		t.Fatalf("bad-tree errors differ:\n runner: %v\n run:    %v", err, werr)
 	}
 }
 
-// TestRunnerBothTimesMatchesGossip pins Runner.BothTimes against the
-// observer-based gossip.BothTimes (checked numerically here to avoid an
-// import cycle with the gossip package's own tests: broadcast must
-// complete no later than gossip, and re-running broadcast alone must
-// agree).
+// TestRunnerBothTimesMatchesGossip pins Runner.Run's two goals on one
+// schedule against each other and against the observer-based
+// gossip.BothTimes (checked numerically here to avoid an import cycle
+// with the gossip package's own tests): broadcast must complete no later
+// than gossip, and the allocating path must agree on both rounds.
 func TestRunnerBothTimesMatchesGossip(t *testing.T) {
 	r := core.NewRunner()
 	for _, n := range []int{2, 6, 16} {
 		seed := uint64(n) * 3
-		b, g, err := r.BothTimes(n, adversary.NewRandom(rng.New(seed)))
+		b, err := r.Run(n, adversary.NewRandom(rng.New(seed)), core.Broadcast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := r.Run(n, adversary.NewRandom(rng.New(seed)), core.Gossip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +130,11 @@ func TestRunnerBothTimesMatchesGossip(t *testing.T) {
 		}
 		bAlone, err := core.BroadcastTime(n, adversary.NewRandom(rng.New(seed)))
 		if err != nil || bAlone != b {
-			t.Fatalf("n=%d: BothTimes broadcast %d, BroadcastTime %d (%v)", n, b, bAlone, err)
+			t.Fatalf("n=%d: Runner broadcast %d, BroadcastTime %d (%v)", n, b, bAlone, err)
+		}
+		gAlone, err := core.Run(n, adversary.NewRandom(rng.New(seed)), core.Gossip)
+		if err != nil || gAlone.Rounds != g {
+			t.Fatalf("n=%d: Runner gossip %d, Run %d (%v)", n, g, gAlone.Rounds, err)
 		}
 	}
 }
@@ -141,7 +149,7 @@ func TestRunnerTrialAllocs(t *testing.T) {
 	src := rng.New(1)
 	warm := func() {
 		adv.Reset(src)
-		if _, err := r.BroadcastTime(n, adv); err != nil {
+		if _, err := r.Run(n, adv, core.Broadcast); err != nil {
 			t.Fatal(err)
 		}
 	}

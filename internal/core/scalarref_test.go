@@ -256,7 +256,7 @@ func TestPackedRunnerMatchesReferenceRounds(t *testing.T) {
 				replay = append(replay, tr)
 				return tr
 			})
-			got, err := r.BroadcastTime(n, adv)
+			got, err := r.Run(n, adv, Broadcast)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}

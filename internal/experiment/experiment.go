@@ -4,19 +4,15 @@
 // are thin wrappers over this package, so every number in EXPERIMENTS.md
 // can be regenerated from a single entry point.
 //
-// Since the campaign subsystem landed, every randomized trial loop runs
-// through campaign.Run on a worker pool (default GOMAXPROCS; tune with
-// WithWorkers). Results are a pure function of the seed and identical for
-// every worker count. BestMeasured, Restricted, and GossipVsBroadcast
-// additionally split their sources in the exact order the pre-campaign
-// serial loops consumed them, so those tables reproduce the old harness
-// digit for digit; Nonsplit switched from one shared stream to per-trial
-// pre-split streams (a different but equally deterministic sequence).
-//
-// The engine-driving trial loops run on each worker's pooled
-// core.Runner (campaign.Arena, DESIGN.md §3d) rather than allocating a
-// fresh engine per trial; Runner.Run is round-for-round identical to the
-// allocating path, so every table digit is unchanged.
+// Every engine-driving trial loop is a scenario-form campaign spec run by
+// campaign.RunSpec on a worker pool (default GOMAXPROCS; tune with
+// WithWorkers): BestMeasured is one trials-1 spec over the portfolio and
+// the search families, Restricted one k-leaves/k-inner spec with a k
+// axis, GossipVsBroadcast one spec per goal. Their trials draw the
+// campaign's content-addressed cell streams, so results are a pure
+// function of the seed and identical for every worker count. Nonsplit is
+// a lemma check, not a campaign: a plain loop over per-trial sources
+// split from the seed.
 package experiment
 
 import (
@@ -24,6 +20,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,6 +32,7 @@ import (
 	"dyntreecast/internal/gossip"
 	"dyntreecast/internal/graph"
 	"dyntreecast/internal/rng"
+	"dyntreecast/internal/stats"
 	"dyntreecast/internal/tree"
 )
 
@@ -129,8 +127,7 @@ type config struct {
 }
 
 // WithWorkers sets the campaign worker-pool size for the experiment's
-// trial loops. 0 (the default) selects GOMAXPROCS; 1 recovers the old
-// serial harness.
+// campaign specs. 0 (the default) selects GOMAXPROCS; 1 runs serially.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithContext makes the experiment cancellable: trial loops stop promptly
@@ -145,20 +142,27 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// runJobs executes jobs on the campaign pool and returns the per-job
-// results, failing on cancellation or on the first job error (in job
-// order, so the error is deterministic too).
-func runJobs(c config, jobs []campaign.Job) ([]campaign.JobResult, error) {
-	results, err := campaign.Run(c.ctx, jobs, campaign.Config{Workers: c.workers})
+// runSpec runs one experiment spec on the campaign pool, failing on
+// cancellation or on the first failed trial (in job order, so the error
+// is deterministic too).
+func runSpec(c config, spec campaign.Spec) (*campaign.Outcome, error) {
+	o, err := campaign.RunSpec(c.ctx, spec, campaign.Config{Workers: c.workers})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
+	if o.Failed > 0 {
+		return nil, fmt.Errorf("experiment: %s", o.Errors[0])
 	}
-	return results, nil
+	return o, nil
+}
+
+// cellStats returns the stats of sc's cell at n in an outcome.
+func cellStats(o *campaign.Outcome, sc campaign.Scenario, n int) (campaign.CellStats, bool) {
+	name, err := campaign.CellName(sc, n)
+	if err != nil {
+		return campaign.CellStats{}, false
+	}
+	return campaign.CellByKey(o.Cells, name)
 }
 
 // NamedAdversary pairs an adversary constructor with a display name.
@@ -196,87 +200,54 @@ func Portfolio() []NamedAdversary {
 	return out
 }
 
-// BestMeasured runs the whole portfolio plus the search strata (beam
-// search, the exact solver where feasible, deep-line search at n = 6) as
-// one parallel campaign, and returns the largest broadcast time achieved
-// and the name of the adversary that achieved it. Every value is a
-// certified lower-bound witness for t*(Tn).
+// BestMeasured runs the whole portfolio plus the search families — beam
+// search, and deep-line search at n = 6 — as one trials-1 campaign spec,
+// adds the exact game value where the solver reaches, and returns the
+// largest broadcast time achieved and the name of the family that
+// achieved it. Every value is a certified lower-bound witness for t*(Tn).
 func BestMeasured(n int, seed uint64, opts ...Option) (int, string, error) {
 	c := buildConfig(opts)
-	root := rng.New(seed)
-	var jobs []campaign.Job
-	// Portfolio jobs first, splitting the root source in portfolio order —
-	// the exact streams the serial harness consumed. Each job runs on its
-	// worker's pooled Runner (fresh-engine semantics via Reset, none of
-	// the per-trial engine and Result allocations).
+	var scenarios []campaign.Scenario
 	for _, na := range Portfolio() {
-		na := na
-		jobs = append(jobs, campaign.Job{
-			Index: len(jobs),
-			Src:   root.Split(),
-			Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
-				t, err := a.Runner.BroadcastTime(n, na.New(n, src))
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s at n=%d: %w", na.Name, n, err)
-				}
-				return []campaign.Measurement{{Cell: na.Name, Value: float64(t)}}, nil
-			},
-		})
+		scenarios = append(scenarios, campaign.Scenario{Adversary: na.Name})
 	}
 	// Beam search (with general-tree proposals) usually wins; cost grows
-	// with n so keep the width moderate. Seeded directly, independent of
-	// the root source.
-	jobs = append(jobs, campaign.Job{
-		Index: len(jobs),
-		Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
-			_, beamRounds := adversary.BeamSearch(n, adversary.BeamConfig{
-				Width: 16, RandomMoves: 6, RandomTrees: 8, Seed: seed,
-			})
-			return []campaign.Measurement{{Cell: "beam-search", Value: float64(beamRounds)}}, nil
-		},
-	})
-	// Exact game value where feasible (solver failures just forfeit).
-	if n <= gamesolver.MaxN {
-		jobs = append(jobs, campaign.Job{
-			Index: len(jobs),
-			Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
-				v := -1
-				if s, err := gamesolver.New(n); err == nil {
-					v = s.Value()
-				}
-				return []campaign.Measurement{{Cell: "exact-optimal", Value: float64(v)}}, nil
-			},
-		})
-	}
+	// with n so keep the width moderate. Its seed param, not the trial
+	// stream, drives the search.
+	scenarios = append(scenarios, campaign.Scenario{Adversary: "beam-search", Params: map[string]any{
+		"width": 16, "random_moves": 6, "random_trees": 8, "seed": seed}})
 	// Anytime deep-line search just past the exact range (n = 6 stays in
 	// the hundreds of milliseconds; n = 7 is seconds-to-minutes and left
 	// to cmd/exact-solver -deep).
 	if n == 6 {
-		jobs = append(jobs, campaign.Job{
-			Index: len(jobs),
-			Run: func(context.Context, *rng.Source, *campaign.Arena) ([]campaign.Measurement, error) {
-				v := -1
-				if line, _, err := gamesolver.DeepestLine(n, 6000, 4); err == nil {
-					if t, err := core.BroadcastTime(n, adversary.Replay{Trees: line}); err == nil {
-						v = t
-					}
-				}
-				return []campaign.Measurement{{Cell: "deep-line", Value: float64(v)}}, nil
-			},
-		})
+		scenarios = append(scenarios, campaign.Scenario{Adversary: "deepest-line", Params: map[string]any{
+			"budget": 6000, "width": 4}})
 	}
-	results, err := runJobs(c, jobs)
+	o, err := runSpec(c, campaign.Spec{Scenarios: scenarios, Ns: []int{n}, Trials: 1, Seed: seed})
 	if err != nil {
 		return 0, "", err
 	}
-	// Winner selection walks results in job order with a strict >, which
-	// reproduces the serial harness's tie-breaking exactly.
+	// Exact game value where feasible (solver failures just forfeit).
+	exact := -1
+	if n <= gamesolver.MaxN {
+		if s, err := gamesolver.New(n); err == nil {
+			exact = s.Value()
+		}
+	}
+	// Winner selection walks the cells in scenario order with a strict >,
+	// the exact value right after beam search, so ties go to the earlier
+	// witness.
 	best, bestName := -1, ""
-	for _, r := range results {
-		for _, m := range r.Measurements {
-			if int(m.Value) > best {
-				best, bestName = int(m.Value), m.Cell
-			}
+	consider := func(t int, name string) {
+		if t > best {
+			best, bestName = t, name
+		}
+	}
+	for _, cell := range o.Cells {
+		family, _, _ := strings.Cut(cell.Cell, "/")
+		consider(int(cell.Max), family)
+		if family == "beam-search" {
+			consider(exact, "exact-optimal")
 		}
 	}
 	return best, bestName, nil
@@ -355,64 +326,48 @@ func StaticPath(ns []int) (*Table, error) {
 
 // Restricted reproduces the Zeiner et al. restricted-adversary regimes:
 // mean broadcast time under k-leaf and k-inner random adversaries, with
-// the O(kn) bound curve for context. Trials fan out over the campaign
-// pool; sources split in the serial harness's (n, k, trial, leaf-then-
-// inner) order so the means match it bit for bit.
+// the O(kn) bound curve for context. The grid is one campaign spec with a
+// k axis; k outside [1, n−1] has no such tree and is skipped.
 func Restricted(ns, ks []int, trials int, seed uint64, opts ...Option) (*Table, error) {
 	t := &Table{
 		Title:  "Restricted adversaries: k leaves / k inner nodes => O(kn)",
 		Header: []string{"n", "k", "mean-t*(k-leaves)", "mean-t*(k-inner)", "bound(kn)", "upper-linear"},
 	}
-	c := buildConfig(opts)
-	root := rng.New(seed)
-	var jobs []campaign.Job
-	addJob := func(n, k int, kind string, build func(src *rng.Source) core.Adversary) {
-		cell := campaign.CellKey(kind, n, k)
-		jobs = append(jobs, campaign.Job{
-			Index: len(jobs),
-			Src:   root.Split(),
-			Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
-				rounds, err := a.Runner.BroadcastTime(n, build(src))
-				if err != nil {
-					return nil, fmt.Errorf("experiment: %s n=%d k=%d: %w", kind, n, k, err)
-				}
-				return []campaign.Measurement{{Cell: cell, Value: float64(rounds)}}, nil
-			},
-		})
-	}
+	feasible := func(n, k int) bool { return k >= 1 && k <= n-1 }
+	var specNs, specKs []int
 	for _, n := range ns {
-		for _, k := range ks {
-			if k < 1 || k > n-1 {
-				continue
-			}
-			for trial := 0; trial < trials; trial++ {
-				k := k
-				addJob(n, k, "k-leaves", func(src *rng.Source) core.Adversary {
-					return adversary.NewKLeaves(k, src)
-				})
-				addJob(n, k, "k-inner", func(src *rng.Source) core.Adversary {
-					return adversary.NewKInner(k, src)
-				})
-			}
+		if slices.ContainsFunc(ks, func(k int) bool { return feasible(n, k) }) {
+			specNs = append(specNs, n)
 		}
 	}
-	results, err := runJobs(c, jobs)
+	for _, k := range ks {
+		if k >= 1 {
+			specKs = append(specKs, k)
+		}
+	}
+	if len(specNs) == 0 {
+		return t, nil
+	}
+	kScenario := func(family string, k any) campaign.Scenario {
+		return campaign.Scenario{Adversary: family, Params: map[string]any{"k": k}}
+	}
+	o, err := runSpec(buildConfig(opts), campaign.Spec{
+		Scenarios: []campaign.Scenario{kScenario("k-leaves", specKs), kScenario("k-inner", specKs)},
+		Ns:        specNs, Trials: trials, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	cells := campaign.Aggregate(results)
 	for _, n := range ns {
 		for _, k := range ks {
-			if k < 1 || k > n-1 {
+			if !feasible(n, k) {
 				continue
 			}
-			leaves, ok1 := campaign.CellByKey(cells, campaign.CellKey("k-leaves", n, k))
-			inner, ok2 := campaign.CellByKey(cells, campaign.CellKey("k-inner", n, k))
+			l, ok1 := cellStats(o, kScenario("k-leaves", k), n)
+			i, ok2 := cellStats(o, kScenario("k-inner", k), n)
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("experiment: restricted n=%d k=%d produced no measurements", n, k)
 			}
-			t.AddRow(n, k, leaves.Mean, inner.Mean,
-				bounds.RestrictedLeaves(n, k), bounds.UpperLinear(n))
+			t.AddRow(n, k, l.Mean, i.Mean, bounds.RestrictedLeaves(n, k), bounds.UpperLinear(n))
 		}
 	}
 	return t, nil
@@ -420,54 +375,38 @@ func Restricted(ns, ks []int, trials int, seed uint64, opts ...Option) (*Table, 
 
 // Nonsplit checks the simulation lemma behind the previous best bound
 // ([1] + [9]): the product of any n−1 rooted trees is nonsplit, and
-// nonsplit graphs have tiny rooted radius. Each trial is one campaign job
-// drawing its n−1 trees from a private pre-split source.
+// nonsplit graphs have tiny rooted radius. Each trial draws its n−1 trees
+// from its own source, split from the seed in (n, trial) order.
 func Nonsplit(ns []int, trials int, seed uint64, opts ...Option) (*Table, error) {
 	t := &Table{
 		Title:  "Nonsplit connection: product of n-1 rooted trees is nonsplit",
 		Header: []string{"n", "trials", "nonsplit-fraction", "mean-radius", "max-radius"},
 	}
+	if trials < 1 {
+		return nil, fmt.Errorf("experiment: nonsplit needs trials >= 1, got %d", trials)
+	}
 	c := buildConfig(opts)
 	root := rng.New(seed)
-	var jobs []campaign.Job
 	for _, n := range ns {
-		n := n
-		nonsplitCell := campaign.CellKey("nonsplit", n, -1)
-		radiusCell := campaign.CellKey("radius", n, -1)
-		for trial := 0; trial < trials; trial++ {
-			jobs = append(jobs, campaign.Job{
-				Index: len(jobs),
-				Src:   root.Split(),
-				Run: func(_ context.Context, src *rng.Source, _ *campaign.Arena) ([]campaign.Measurement, error) {
-					trees := make([]*tree.Tree, n-1)
-					for i := range trees {
-						trees[i] = tree.Random(n, src)
-					}
-					g := graph.ProductOfTrees(trees)
-					isNonsplit := 0.0
-					if g.IsNonsplit() {
-						isNonsplit = 1.0
-					}
-					return []campaign.Measurement{
-						{Cell: nonsplitCell, Value: isNonsplit},
-						{Cell: radiusCell, Value: float64(g.Radius())},
-					}, nil
-				},
-			})
+		nonsplit := make([]float64, trials)
+		radius := make([]float64, trials)
+		for trial := range trials {
+			if err := c.ctx.Err(); err != nil {
+				return nil, err
+			}
+			src := root.Split()
+			trees := make([]*tree.Tree, n-1)
+			for i := range trees {
+				trees[i] = tree.Random(n, src)
+			}
+			g := graph.ProductOfTrees(trees)
+			if g.IsNonsplit() {
+				nonsplit[trial] = 1
+			}
+			radius[trial] = float64(g.Radius())
 		}
-	}
-	results, err := runJobs(c, jobs)
-	if err != nil {
-		return nil, err
-	}
-	cells := campaign.Aggregate(results)
-	for _, n := range ns {
-		frac, ok1 := campaign.CellByKey(cells, campaign.CellKey("nonsplit", n, -1))
-		radius, ok2 := campaign.CellByKey(cells, campaign.CellKey("radius", n, -1))
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("experiment: nonsplit n=%d produced no measurements", n)
-		}
-		t.AddRow(n, trials, frac.Mean, radius.Mean, int(radius.Max))
+		r := stats.Summarize(radius)
+		t.AddRow(n, trials, stats.Summarize(nonsplit).Mean, r.Mean, int(r.Max))
 	}
 	return t, nil
 }
@@ -498,46 +437,35 @@ func Exact(maxN int, seed uint64, opts ...Option) (*Table, error) {
 	return t, nil
 }
 
-// GossipVsBroadcast measures gossip and broadcast completion on the same
-// random runs (E9), and demonstrates the adversarial gossip stall. Each
-// trial is one campaign job reporting both completion times.
+// GossipVsBroadcast measures gossip and broadcast completion under random
+// trees (E9) — one campaign spec per goal — and demonstrates the
+// adversarial gossip stall.
 func GossipVsBroadcast(ns []int, trials int, seed uint64, opts ...Option) (*Table, error) {
 	t := &Table{
 		Title:  "Gossip vs broadcast under random trees (adversarial gossip is unbounded)",
 		Header: []string{"n", "mean-broadcast", "mean-gossip", "ratio", "staller-gossip"},
 	}
 	c := buildConfig(opts)
-	root := rng.New(seed)
-	var jobs []campaign.Job
+	random := campaign.Scenario{Adversary: "random-tree"}
+	// Gossip under random trees has a geometric tail that the n²+1
+	// default budget cuts off at small n (5 rounds at n = 2 fail one
+	// trial in 16), so the gossip spec runs at least 64 rounds.
+	budget := 64
 	for _, n := range ns {
-		n := n
-		bCell := campaign.CellKey("broadcast", n, -1)
-		gCell := campaign.CellKey("gossip", n, -1)
-		for trial := 0; trial < trials; trial++ {
-			jobs = append(jobs, campaign.Job{
-				Index: len(jobs),
-				Src:   root.Split(),
-				Run: func(_ context.Context, src *rng.Source, a *campaign.Arena) ([]campaign.Measurement, error) {
-					b, g, err := a.Runner.BothTimes(n, adversary.NewRandom(src))
-					if err != nil {
-						return nil, fmt.Errorf("experiment: gossip n=%d: %w", n, err)
-					}
-					return []campaign.Measurement{
-						{Cell: bCell, Value: float64(b)},
-						{Cell: gCell, Value: float64(g)},
-					}, nil
-				},
-			})
+		budget = max(budget, n*n+1)
+	}
+	outcomes := make(map[string]*campaign.Outcome, 2)
+	for _, goal := range []string{"broadcast", "gossip"} {
+		o, err := runSpec(c, campaign.Spec{Scenarios: []campaign.Scenario{random},
+			Ns: ns, Trials: trials, Seed: seed, Goal: goal, MaxRounds: budget})
+		if err != nil {
+			return nil, err
 		}
+		outcomes[goal] = o
 	}
-	results, err := runJobs(c, jobs)
-	if err != nil {
-		return nil, err
-	}
-	cells := campaign.Aggregate(results)
 	for _, n := range ns {
-		mb, ok1 := campaign.CellByKey(cells, campaign.CellKey("broadcast", n, -1))
-		mg, ok2 := campaign.CellByKey(cells, campaign.CellKey("gossip", n, -1))
+		mb, ok1 := cellStats(outcomes["broadcast"], random, n)
+		mg, ok2 := cellStats(outcomes["gossip"], random, n)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("experiment: gossip n=%d produced no measurements", n)
 		}

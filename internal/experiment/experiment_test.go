@@ -225,11 +225,11 @@ func TestExperimentCancellation(t *testing.T) {
 
 func TestCampaignTable(t *testing.T) {
 	o, err := campaign.RunSpec(context.Background(), campaign.Spec{
-		Name:        "demo",
-		Adversaries: []string{"static-path"},
-		Ns:          []int{8},
-		Trials:      3,
-		Seed:        1,
+		Name:      "demo",
+		Scenarios: []campaign.Scenario{{Adversary: "static-path"}},
+		Ns:        []int{8},
+		Trials:    3,
+		Seed:      1,
 	}, campaign.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

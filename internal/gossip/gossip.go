@@ -28,9 +28,9 @@ import (
 // core.ErrMaxRounds.
 //
 // Time allocates a fresh engine per call; hot loops (the batched campaign
-// pipeline, experiment trial fans) run the same computation on a pooled
-// core.Runner via Runner.GossipTime / Runner.BothTimes instead, which is
-// round-for-round and error-for-error identical.
+// pipeline) run the same computation on a pooled core.Runner via
+// Runner.Run with the Gossip goal instead, which is round-for-round and
+// error-for-error identical.
 func Time(n int, adv core.Adversary, opts ...core.Option) (int, error) {
 	res, err := core.Run(n, adv, core.Gossip, opts...)
 	return res.Rounds, err

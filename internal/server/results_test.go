@@ -183,7 +183,7 @@ func TestShutdownLeavesNoStreamGoroutines(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	// A slow campaign plus an open stream following it.
-	slow := `{"adversaries":["random-tree"],"ns":[64],"trials":400,"seed":3}`
+	slow := `{"scenarios":[{"adversary":"random-tree"}],"ns":[64],"trials":400,"seed":3}`
 	id, _ := submit(t, ts, slow)
 	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/stream")
 	if err != nil {

@@ -8,11 +8,11 @@
 // Endpoints (README.md "Serving campaigns" has curl examples):
 //
 //	POST /campaigns            submit a JSON Spec → {"id", "jobs"}.
-//	                           Both spec schema forms are accepted — the
-//	                           scenario form (version 2) and the legacy
-//	                           adversaries/ks form — and are canonicalized
-//	                           on arrival, so equivalent submissions share
-//	                           cache cells and artifacts.
+//	                           Specs are in the scenario form (version 2;
+//	                           the retired adversaries/ks form is a 400)
+//	                           and are canonicalized on arrival, so
+//	                           equivalent submissions share cache cells
+//	                           and artifacts.
 //	GET  /campaigns            list campaigns with status
 //	GET  /campaigns/{id}       status + per-cell aggregates (live or final)
 //	GET  /campaigns/{id}/stream  per-measurement stream: JSONL by default,
@@ -216,21 +216,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Canonicalize before anything else: legacy-form submissions
-	// (adversaries/ks) and scenario-form submissions of the same grid
-	// collapse to one canonical spec, so they share ids-per-hash, cache
+	// Canonicalize before anything else: every spelling of a grid
+	// collapses to one canonical spec, so they share ids-per-hash, cache
 	// cells, and artifact bytes. A bad spec — unknown family, bad
-	// scenario params, unsupported version — is a 400 here, before any
-	// job runs.
+	// scenario params, an unsupported or retired schema version, an
+	// empty grid — is a 400 here, before any job runs. Planning the
+	// cells costs O(cells), not O(trials).
 	spec, err = spec.Canonical()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jobs, err := spec.Compile()
+	cells, err := spec.CellJobs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	jobs := 0
+	for _, c := range cells {
+		jobs += c.Trials
 	}
 
 	s.mu.Lock()
@@ -245,7 +249,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if limit <= 0 {
 		limit = defaultReplayLimit
 	}
-	r := &run{id: id, spec: spec, jobs: len(jobs), started: time.Now(), limit: limit, status: "running", notify: make(chan struct{})}
+	r := &run{id: id, spec: spec, jobs: jobs, started: time.Now(), limit: limit, status: "running", notify: make(chan struct{})}
 	s.campaigns[id] = r
 	s.order = append(s.order, id)
 	s.wg.Add(1)
@@ -253,8 +257,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	mCampaignsSubmitted.Inc()
 
 	go s.execute(r)
-	s.logf("campaign %s submitted: %d jobs", id, len(jobs))
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": len(jobs), "status": "running"})
+	s.logf("campaign %s submitted: %d jobs", id, jobs)
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": jobs, "status": "running"})
 }
 
 func (s *Server) execute(r *run) {

@@ -22,7 +22,7 @@ import (
 	"dyntreecast/internal/cluster"
 )
 
-const specJSON = `{"name":"itest","adversaries":["random-tree","random-path"],"ns":[8,16],"trials":4,"seed":21}`
+const specJSON = `{"name":"itest","scenarios":[{"adversary":"random-tree"},{"adversary":"random-path"}],"ns":[8,16],"trials":4,"seed":21}`
 
 func mustSpec(t *testing.T) campaign.Spec {
 	t.Helper()
@@ -200,8 +200,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	defer ts.Close()
 	for _, body := range []string{
 		"not json",
-		`{"adversaries":["omniscient"],"ns":[8],"trials":1,"seed":1}`,
-		`{"adversaries":["random-tree"],"ns":[8],"trials":1,"seed":1,"bogus":true}`,
+		`{"scenarios":[{"adversary":"omniscient"}],"ns":[8],"trials":1,"seed":1}`,
+		`{"scenarios":[{"adversary":"random-tree"}],"ns":[8],"trials":1,"seed":1,"bogus":true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -233,7 +233,7 @@ func TestListCampaigns(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Workers: 2}))
 	defer ts.Close()
 	id1, _ := submit(t, ts, specJSON)
-	id2, _ := submit(t, ts, `{"adversaries":["static-path"],"ns":[8],"trials":2,"seed":1}`)
+	id2, _ := submit(t, ts, `{"scenarios":[{"adversary":"static-path"}],"ns":[8],"trials":2,"seed":1}`)
 	waitDone(t, ts, id1)
 	waitDone(t, ts, id2)
 
@@ -267,7 +267,7 @@ func TestServerSharesCellCache(t *testing.T) {
 
 // restartSpec has a quick first cell and a slow second one, so a
 // shutdown timed off the stream lands after the first cell completed.
-const restartSpec = `{"name":"restart","adversaries":["random-tree"],"ns":[8,256],"trials":1000,"seed":8}`
+const restartSpec = `{"name":"restart","scenarios":[{"adversary":"random-tree"}],"ns":[8,256],"trials":1000,"seed":8}`
 
 // shutdownAfterFirstCell submits restartSpec to a one-worker server
 // backed by c, follows the stream until a second cell's result arrives —
@@ -438,7 +438,7 @@ func TestServerResumesAcrossRestart(t *testing.T) {
 func TestStreamReplayWindowTruncates(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Workers: 2, ReplayLimit: 8}))
 	defer ts.Close()
-	id, jobs := submit(t, ts, `{"adversaries":["random-tree"],"ns":[8],"trials":64,"seed":2}`)
+	id, jobs := submit(t, ts, `{"scenarios":[{"adversary":"random-tree"}],"ns":[8],"trials":64,"seed":2}`)
 	v := waitDone(t, ts, id)
 	if v.Completed != jobs {
 		t.Fatalf("completed = %d, want %d (counters must survive window trims)", v.Completed, jobs)
@@ -475,23 +475,40 @@ func TestStreamReplayWindowTruncates(t *testing.T) {
 	}
 }
 
-// TestLegacyAndScenarioFormsServeIdenticalArtifacts is the schema-v2
-// acceptance check at the HTTP layer: a legacy-form submission and its
-// scenario-form equivalent run against a shared cell cache and serve
-// byte-identical aggregate artifacts — the second submission entirely
-// from the first's cells.
-func TestLegacyAndScenarioFormsServeIdenticalArtifacts(t *testing.T) {
+// TestLegacySpecRejectedAndSpellingsShareArtifacts is the one-schema
+// check at the HTTP layer: a submission in the retired adversaries/ks
+// form — by field or by "version": 1 — is a 400 that names the scenario
+// form, while two scenario spellings of one grid (an axis list and its
+// expansion) run against a shared cell cache and serve byte-identical
+// aggregate artifacts, the second entirely from the first's cells.
+func TestLegacySpecRejectedAndSpellingsShareArtifacts(t *testing.T) {
 	srv := New(Options{Workers: 2, Cache: cache.NewMemory()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	legacy := `{"name":"forms","adversaries":["random-tree","k-leaves"],"ns":[8,12],"ks":[2,3],"trials":3,"seed":11}`
-	scenario := `{"version":2,"name":"forms","scenarios":[{"adversary":"random-tree"},` +
-		`{"adversary":"k-leaves","params":{"k":[2,3]}}],"ns":[8,12],"trials":3,"seed":11}`
+	for _, legacy := range []string{
+		`{"name":"forms","adversaries":["random-tree","k-leaves"],"ns":[8,12],"ks":[2,3],"trials":3,"seed":11}`,
+		`{"version":1,"name":"forms","scenarios":[{"adversary":"random-tree"}],"ns":[8,12],"trials":3,"seed":11}`,
+	} {
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("scenario form")) {
+			t.Errorf("submit(%s) = %d %s, want a 400 naming the scenario form", legacy, resp.StatusCode, data)
+		}
+	}
 
-	id1, jobs1 := submit(t, ts, legacy)
+	axis := `{"version":2,"name":"forms","scenarios":[{"adversary":"random-tree"},` +
+		`{"adversary":"k-leaves","params":{"k":[2,3]}}],"ns":[8,12],"trials":3,"seed":11}`
+	expanded := `{"name":"forms","scenarios":[{"adversary":"random-tree"},` +
+		`{"adversary":"k-leaves","params":{"k":2}},{"adversary":"k-leaves","params":{"k":3}}],"ns":[8,12],"trials":3,"seed":11}`
+
+	id1, jobs1 := submit(t, ts, axis)
 	waitDone(t, ts, id1)
-	id2, jobs2 := submit(t, ts, scenario)
+	id2, jobs2 := submit(t, ts, expanded)
 	waitDone(t, ts, id2)
 	if jobs1 != jobs2 {
 		t.Fatalf("job counts differ: %d vs %d", jobs1, jobs2)
@@ -519,10 +536,10 @@ func TestLegacyAndScenarioFormsServeIdenticalArtifacts(t *testing.T) {
 	}
 	a, b := body(id1), body(id2)
 	if !bytes.Equal(a, b) {
-		t.Errorf("artifacts differ between forms:\n%s\nvs\n%s", a, b)
+		t.Errorf("artifacts differ between spellings:\n%s\nvs\n%s", a, b)
 	}
-	// Same canonical spec hash → same id suffix → the scenario run was
-	// served from the legacy run's cache cells.
+	// Same canonical spec hash → same id suffix → the expanded run was
+	// served from the axis run's cache cells.
 	if id1[strings.Index(id1, "-"):] != id2[strings.Index(id2, "-"):] {
 		t.Errorf("ids hash different canonical specs: %s vs %s", id1, id2)
 	}

@@ -241,10 +241,10 @@ func TestDiffStatsOnlyRows(t *testing.T) {
 func TestCurves(t *testing.T) {
 	s := openStore(t)
 	spec := campaign.Spec{
-		Adversaries: []string{"random-path"},
-		Ns:          []int{4, 16},
-		Trials:      3,
-		Seed:        7,
+		Scenarios: []campaign.Scenario{{Adversary: "random-path"}},
+		Ns:        []int{4, 16},
+		Trials:    3,
+		Seed:      7,
 	}
 	runInto(t, s, "c1", spec)
 	runInto(t, s, "c2", spec)
@@ -299,10 +299,10 @@ func TestCurves(t *testing.T) {
 func TestCurvesSolveTables(t *testing.T) {
 	s := openStore(t)
 	spec := campaign.Spec{
-		Adversaries: []string{"random-path"},
-		Ns:          []int{4, 6},
-		Trials:      2,
-		Seed:        7,
+		Scenarios: []campaign.Scenario{{Adversary: "random-path"}},
+		Ns:        []int{4, 6},
+		Trials:    2,
+		Seed:      7,
 	}
 	runInto(t, s, "c1", spec)
 

@@ -42,7 +42,6 @@ import (
 
 	"dyntreecast/internal/campaign"
 	"dyntreecast/internal/campaign/cache"
-	"dyntreecast/internal/stats"
 )
 
 // manifestFormat tags manifest files so foreign JSON in campaigns/ is
@@ -300,40 +299,6 @@ func (t touching) Put(key string, data []byte) error { return t.dir.Put(key, dat
 // working against a store-backed cache.
 func (t touching) Delete(key string) error { return t.dir.Delete(key) }
 
-// cellEntry mirrors the campaign cache entry format: the per-trial
-// measurement lists of one cell, in trial order.
-type cellEntry struct {
-	Cell   string `json:"cell"`
-	Trials [][]struct {
-		Cell  string  `json:"cell"`
-		Value float64 `json:"value"`
-	} `json:"trials"`
-}
-
-// statsOf aggregates a cell entry exactly the way campaign.Aggregate
-// summarizes the live run — values pooled in trial order — so warehouse
-// stats match the artifact's numbers bit for bit.
-func statsOf(ent cellEntry, cell string) rowStats {
-	var xs []float64
-	for _, trial := range ent.Trials {
-		for _, m := range trial {
-			if m.Cell == cell {
-				xs = append(xs, m.Value)
-			}
-		}
-	}
-	sum := stats.Summarize(xs)
-	return rowStats{
-		Count:  sum.Count,
-		Mean:   sum.Mean,
-		StdDev: sum.StdDev,
-		Min:    sum.Min,
-		Max:    sum.Max,
-		P50:    stats.Percentile(xs, 50),
-		P99:    stats.Percentile(xs, 99),
-	}
-}
-
 // IngestOutcome ingests a finished campaign run under id: every grid
 // cell of its spec whose bytes are present in the warehouse's cell area
 // (they are, when the run cached through Store.Cache) becomes a queryable
@@ -381,8 +346,8 @@ func (s *Store) IngestSpec(id string, spec campaign.Spec) (int, error) {
 		if !ok {
 			continue
 		}
-		var ent cellEntry
-		if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != j.Trials {
+		st, err := campaign.SummarizeCellEntry(data, j.Cell, j.Trials)
+		if err != nil {
 			// Corrupt bytes under the content address: heal like the
 			// campaign layer does and skip the cell.
 			s.cells.Delete(j.Key)
@@ -396,7 +361,8 @@ func (s *Store) IngestSpec(id string, spec campaign.Spec) (int, error) {
 			Params:    sc.Params,
 			N:         j.Spec.Ns[0],
 			Trials:    j.Trials,
-			Stats:     statsOf(ent, j.Cell),
+			Stats: rowStats{Count: st.Count, Mean: st.Mean, StdDev: st.StdDev,
+				Min: st.Min, Max: st.Max, P50: st.P50, P99: st.P99},
 		})
 	}
 	if len(m.Cells) == 0 {

@@ -17,11 +17,11 @@ import (
 // families × 2 ns = 4 cells, 3 trials each.
 func testSpec() campaign.Spec {
 	return campaign.Spec{
-		Name:        "store-test",
-		Adversaries: []string{"random-path", "random-tree"},
-		Ns:          []int{4, 8},
-		Trials:      3,
-		Seed:        7,
+		Name:      "store-test",
+		Scenarios: []campaign.Scenario{{Adversary: "random-path"}, {Adversary: "random-tree"}},
+		Ns:        []int{4, 8},
+		Trials:    3,
+		Seed:      7,
 	}
 }
 
@@ -294,12 +294,11 @@ func TestBackfillArtifact(t *testing.T) {
 // with parsed coordinates and no content address.
 func TestBackfillJSONL(t *testing.T) {
 	spec := campaign.Spec{
-		Name:        "jl",
-		Adversaries: []string{"k-leaves"},
-		Ks:          []int{2},
-		Ns:          []int{8},
-		Trials:      3,
-		Seed:        1,
+		Name:      "jl",
+		Scenarios: []campaign.Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": 2}}},
+		Ns:        []int{8},
+		Trials:    3,
+		Seed:      1,
 	}
 	out, err := campaign.RunSpec(context.Background(), spec, campaign.Config{})
 	if err != nil {
@@ -444,7 +443,7 @@ func TestIngestRejectsInvalidSpec(t *testing.T) {
 	if _, err := s.IngestSpec("bad", campaign.Spec{}); err == nil {
 		t.Error("empty spec ingested")
 	}
-	art := `{"spec":{"adversaries":["no-such-family"],"ns":[4],"trials":1}}`
+	art := `{"spec":{"scenarios":[{"adversary":"no-such-family"}],"ns":[4],"trials":1}}`
 	if _, _, err := s.BackfillArtifact("bad", strings.NewReader(art), cache.NewMemory()); err == nil {
 		t.Error("artifact with an unknown family backfilled")
 	}

@@ -49,7 +49,7 @@ wait_for "http://$COORD_ADDR/metrics" 50
 wait_for "http://$WORKER_METRICS/metrics" 50
 
 echo "== submit campaign"
-SPEC='{"name":"smoke","adversaries":["random-tree","random-path"],"ns":[16,24],"trials":5,"seed":7}'
+SPEC='{"name":"smoke","scenarios":[{"adversary":"random-tree"},{"adversary":"random-path"}],"ns":[16,24],"trials":5,"seed":7}'
 ID=$(curl -fsS -d "$SPEC" "http://$COORD_ADDR/campaigns" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$ID" ] || { echo "no campaign id in submit response" >&2; exit 1; }
 

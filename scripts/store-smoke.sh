@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Results-warehouse smoke, run by CI's store-smoke job: boot a campaignd
-# with -store, run a real campaign through it, query it back page by
-# page (curl and the results CLI), check that a cache-warm re-run diffs
-# empty against the original, then restart the daemon over the same
+# with -store, check that a spec in the retired adversaries/ks form is a
+# 400, run a real campaign through it, query it back page by page (curl
+# and the results CLI), check that a cache-warm re-run diffs empty
+# against the original, then restart the daemon over the same
 # warehouse with a tiny byte budget and a pin and check that GC reclaims
 # cell bytes without losing the queryable stats. Finally, SIGKILL a
 # cache-backed cmd/campaign run mid-grid and check that rerunning the
@@ -61,8 +62,17 @@ echo "== start daemon with a results warehouse (no budget: GC off)"
 DAEMON_PID=$!
 wait_for "http://$ADDR/metrics" 50
 
+echo "== a spec in the retired adversaries/ks form is a 400"
+CODE=$(curl -sS -o "$WORK/legacy.json" -w '%{http_code}' \
+  -d '{"adversaries":["random-tree"],"ks":[2],"ns":[16],"trials":5,"seed":7}' "http://$ADDR/campaigns")
+if [ "$CODE" != 400 ] || ! grep -q 'scenario form' "$WORK/legacy.json"; then
+  echo "legacy spec answered $CODE, want a 400 naming the scenario form:" >&2
+  cat "$WORK/legacy.json" >&2
+  exit 1
+fi
+
 echo "== run campaign"
-SPEC='{"name":"store-smoke","adversaries":["random-tree","random-path"],"ns":[16,24],"trials":5,"seed":7}'
+SPEC='{"name":"store-smoke","scenarios":[{"adversary":"random-tree"},{"adversary":"random-path"}],"ns":[16,24],"trials":5,"seed":7}'
 ID=$(run_campaign "$SPEC")
 echo "   ingested as $ID"
 
@@ -112,7 +122,7 @@ echo "== run an unpinned campaign with its own cells (eviction fodder)"
 # The warm re-run shares the pinned run's content addresses, so its
 # cells are pin-protected too; GC needs a campaign with distinct cells
 # to have something to reclaim.
-SPEC3='{"name":"store-smoke-evict","adversaries":["random-tree"],"ns":[32],"trials":5,"seed":99}'
+SPEC3='{"name":"store-smoke-evict","scenarios":[{"adversary":"random-tree"}],"ns":[32],"trials":5,"seed":99}'
 ID3=$(run_campaign "$SPEC3")
 echo "   ingested as $ID3"
 
