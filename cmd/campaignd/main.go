@@ -22,7 +22,8 @@
 //	campaignd -worker -join http://coordinator:8080
 //
 // A worker pulls cell leases, executes them on the arena pipeline, and
-// pushes per-trial measurements keyed by each cell's content address.
+// pushes each shard's cell entry — its round counts — keyed by the cell's
+// content address.
 // Workers joining, dying, or timing out never change artifact bytes —
 // unleased and abandoned cells fall back to the coordinator's local pool
 // (see DESIGN.md §3e).

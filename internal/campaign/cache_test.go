@@ -3,10 +3,12 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,60 +42,61 @@ func TestCacheWarmRunRecomputesNothing(t *testing.T) {
 	}
 }
 
-// TestAppendCellEntryMatchesJSON pins the cell store's entry encoder to
-// json.Marshal of the cellEntry byte for byte — names that need escaping,
-// nil and empty measurement lists, and floats across both of json's
-// number forms — so stored entries keep their format.
-func TestAppendCellEntryMatchesJSON(t *testing.T) {
-	values := []float64{0, math.Copysign(0, -1), 1, 7, -3, 0.5, 1.0 / 3, 1e-6, 9.99e-7, 1.5e-9,
-		-2.5e-8, 1e20, 1e21, 1.234e300, math.MaxFloat64, math.SmallestNonzeroFloat64}
+// entryTrials builds one JobResult per value, each holding exactly one
+// measurement of cell — the shape every spec trial has.
+func entryTrials(cell string, values ...float64) []JobResult {
+	results := make([]JobResult, len(values))
+	for i, v := range values {
+		results[i] = JobResult{Index: i, Measurements: []Measurement{{Cell: cell, Value: v}}}
+	}
+	return results
+}
+
+// TestCellEntryRoundTrip pins the cell entry encoding: every round count
+// a trial can hold — across the uvarint length boundaries up to 2^53 —
+// and every cell name, escaping-prone and non-UTF-8 ones included,
+// decodes back to the same measurements in one allocation and re-encodes
+// to the same bytes; counts below 128 cost one byte per trial; and
+// SummarizeCellEntry, the store's reader, gives back Aggregate's stats.
+func TestCellEntryRoundTrip(t *testing.T) {
+	values := []float64{0, 1, 7, 127, 128, 300, 16383, 16384, 1 << 32, maxEntryRounds}
 	r := rand.New(rand.NewSource(1))
 	for len(values) < 200 {
-		if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
-			values = append(values, f)
-		}
+		values = append(values, float64(r.Int63n(1<<20)))
 	}
-	for _, cell := range []string{"random-tree/n=8", `a<b>&"c"\`, "ü\u2028\x01", string([]byte{0xff, 'x'})} {
-		var results []JobResult
-		for i, v := range values {
-			var ms []Measurement
-			switch i % 4 {
-			case 1:
-				ms = []Measurement{}
-			case 2:
-				ms = []Measurement{{Cell: cell, Value: v}}
-			case 3:
-				ms = []Measurement{{Cell: cell, Value: v}, {Cell: "other/" + cell, Value: -v}}
+	for _, cell := range []string{"random-tree/n=8", `a<b>&"c"\`, "ü\u2028\x01", string([]byte{0xff, 'x'}), ""} {
+		results := entryTrials(cell, values...)
+		entry, err := appendCellEntry([]byte("stale"), cell, results)
+		if err != nil {
+			t.Fatalf("cell %q: %v", cell, err)
+		}
+		entry = entry[len("stale"):]
+		ms, err := DecodeCellEntry(entry, cell, len(values))
+		if err != nil {
+			t.Fatalf("cell %q: decoding its own entry: %v", cell, err)
+		}
+		for i, m := range ms {
+			if m != results[i].Measurements[0] {
+				t.Fatalf("cell %q trial %d: decoded %+v, encoded %+v", cell, i, m, results[i].Measurements[0])
 			}
-			results = append(results, JobResult{Index: i, Measurements: ms})
 		}
-		ent := cellEntry{Cell: cell, Trials: make([][]Measurement, len(results))}
-		for i, r := range results {
-			ent.Trials[i] = r.Measurements
+		again, err := appendCellEntry(nil, cell, entryTrials(cell, values...))
+		if err != nil || !bytes.Equal(again, entry) {
+			t.Errorf("cell %q: re-encoding differs (err %v)", cell, err)
 		}
-		want, err := json.Marshal(ent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendCellEntry([]byte("stale"), cell, results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got = got[len("stale"):]; !bytes.Equal(got, want) {
-			t.Errorf("cell %q: entry differs from json.Marshal:\n got %s\nwant %s", cell, got, want)
+		if allocs := testing.AllocsPerRun(10, func() { DecodeCellEntry(entry, cell, len(values)) }); allocs != 1 {
+			t.Errorf("cell %q: decode allocates %v times, want one backing slice", cell, allocs)
 		}
 	}
-	bad := []JobResult{{Measurements: []Measurement{{Cell: "c", Value: math.NaN()}}}}
-	if _, err := appendCellEntry(nil, "c", bad); err == nil {
-		t.Error("NaN measurement encoded without error")
+	small, err := appendCellEntry(nil, "c", entryTrials("c", 3, 127, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{CellEntryFormat, 1, 'c', 3, 3, 127, 0}; !bytes.Equal(small, want) {
+		t.Errorf("entry = %v, want %v", small, want)
 	}
 
-	// SummarizeCellEntry, the store's reader, gives back Aggregate's
-	// stats of the cell and refuses mis-sized or torn entries.
-	results := []JobResult{
-		{Measurements: []Measurement{{Cell: "c", Value: 3}}},
-		{Measurements: []Measurement{{Cell: "c", Value: 5}, {Cell: "d", Value: 1}}},
-	}
+	results := entryTrials("c", 3, 5)
 	entry, err := appendCellEntry(nil, "c", results)
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +106,144 @@ func TestAppendCellEntryMatchesJSON(t *testing.T) {
 		t.Errorf("SummarizeCellEntry = %+v, %v; want %+v", got, err, want)
 	}
 	if _, err := SummarizeCellEntry(entry, "c", 3); err == nil {
-		t.Error("entry with 2 trials accepted as 3")
+		t.Error("SummarizeCellEntry accepted an entry with 2 trials as 3")
 	}
-	if _, err := SummarizeCellEntry(entry[:len(entry)-1], "c", 2); err == nil {
-		t.Error("torn entry accepted")
+}
+
+// TestCellEntryRejects is the decoder's and the encoder's rejection
+// table: nothing torn, foreign, mis-sized or unrepresentable gets
+// through, and a header claiming more trials than its bytes can hold is
+// refused before anything is allocated.
+func TestCellEntryRejects(t *testing.T) {
+	entry, err := appendCellEntry(nil, "c", entryTrials("c", 3, 200, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := func(cell string, trials uint64) []byte {
+		b := append([]byte{CellEntryFormat}, byte(len(cell)))
+		return binary.AppendUvarint(append(b, cell...), trials)
+	}
+	legacy, _ := json.Marshal(map[string]any{"cell": "c", "trials": [][]Measurement{{{Cell: "c", Value: 3}}}})
+	decodes := []struct {
+		name   string
+		data   []byte
+		trials int
+	}{
+		{"empty", nil, 0},
+		{"json entry", legacy, 1},
+		{"unknown format", append([]byte{CellEntryFormat + 1}, entry[1:]...), 3},
+		{"trailing byte", append(bytes.Clone(entry), 0), 3},
+		{"foreign cell", append(header("d", 3), 3, 0, 0), 3},
+		{"count mismatch", entry, 2},
+		{"negative count", entry, -1},
+		{"count beyond bytes", append(header("c", 1<<40), 1, 2), 1 << 40},
+		{"count overflows", []byte{CellEntryFormat, 1, 'c', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, 0},
+		{"name beyond bytes", []byte{CellEntryFormat, 9, 'c'}, 0},
+		{"non-minimal varint", append(header("c", 1), 0x83, 0x00), 1},
+		{"round count beyond 2^53", binary.AppendUvarint(header("c", 1), maxEntryRounds+1), 1},
+	}
+	for i := range entry {
+		decodes = append(decodes, struct {
+			name   string
+			data   []byte
+			trials int
+		}{fmt.Sprintf("torn at %d", i), entry[:i], 3})
+	}
+	for _, tc := range decodes {
+		if ms, err := DecodeCellEntry(tc.data, "c", tc.trials); err == nil {
+			t.Errorf("%s: decoded %v", tc.name, ms)
+		}
+	}
+	huge := append(header("c", 1<<40), 1)
+	if n := allocatedBytes(func() { DecodeCellEntry(huge, "c", 1<<40) }); n > 1<<16 {
+		t.Errorf("an oversized count allocates %d bytes before it is refused", n)
+	}
+
+	encodes := map[string][]Measurement{
+		"NaN":                 {{Cell: "c", Value: math.NaN()}},
+		"+Inf":                {{Cell: "c", Value: math.Inf(1)}},
+		"negative":            {{Cell: "c", Value: -3}},
+		"negative zero":       {{Cell: "c", Value: math.Copysign(0, -1)}},
+		"non-integer":         {{Cell: "c", Value: 2.5}},
+		"beyond 2^53":         {{Cell: "c", Value: 2 * maxEntryRounds}},
+		"no measurement":      {},
+		"multi-measurement":   {{Cell: "c", Value: 3}, {Cell: "c", Value: 4}},
+		"foreign measurement": {{Cell: "d", Value: 3}},
+	}
+	for name, ms := range encodes {
+		results := append(entryTrials("c", 1), JobResult{Index: 1, Measurements: ms})
+		if _, err := appendCellEntry(nil, "c", results); err == nil {
+			t.Errorf("%s trial encoded without error", name)
+		}
+	}
+}
+
+// allocatedBytes reports the bytes the heap grew by (cumulatively, so
+// collected garbage counts) while f ran.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCacheLegacyJSONEntryHeals: an entry in the JSON format of older
+// builds, under a cell's live content address, is a miss — deleted on
+// detection, the cell recomputed and stored in the current format — and
+// the artifact is byte-identical to a cold run's. Cache keys did not
+// change with the format, so this is the path every pre-existing entry
+// takes.
+func TestCacheLegacyJSONEntryHeals(t *testing.T) {
+	spec := Spec{Scenarios: named("random-path"), Ns: []int{8}, Trials: 3, Seed: 4}
+	dir, err := cache.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := RunSpec(context.Background(), spec, Config{Cache: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cellKeyFor(t, spec, "random-path", 8, -1)
+	const cell = "random-path/n=8"
+	current, ok, err := dir.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("cell entry missing after run: ok=%v err=%v", ok, err)
+	}
+	ms, err := DecodeCellEntry(current, cell, spec.Trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The entry an older build stored for the same cell.
+	legacy := struct {
+		Cell   string          `json:"cell"`
+		Trials [][]Measurement `json:"trials"`
+	}{Cell: cell}
+	for _, m := range ms {
+		legacy.Trials = append(legacy.Trials, []Measurement{m})
+	}
+	old, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Put(key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &recordingCache{Cache: dir, dir: dir}
+	again, err := RunSpec(context.Background(), spec, Config{Cache: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.deleted != 1 || again.CacheHits != 0 || again.Executed != again.Jobs {
+		t.Errorf("legacy entry: %d deletes, hits/executed = %d/%d; want 1 delete and a full recomputation",
+			rec.deleted, again.CacheHits, again.Executed)
+	}
+	if !bytes.Equal(artifactBytes(t, clean), artifactBytes(t, again)) {
+		t.Error("artifact after healing a legacy entry differs from the cold run")
+	}
+	if healed, ok, err := dir.Get(key); err != nil || !ok || !bytes.Equal(healed, current) {
+		t.Errorf("legacy entry not replaced by the current encoding: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -62,10 +62,11 @@ import (
 	"dyntreecast/internal/rng"
 )
 
-// Measurement is one named scalar produced by a job. Jobs that observe
-// several quantities on a single run (e.g. broadcast and gossip completion
-// of the same schedule) emit one Measurement per quantity. The JSON form
-// is the unit of the cell cache's entries.
+// Measurement is one named scalar produced by a job. Every trial of a
+// spec emits exactly one: its round count, labeled with its cell. Cell
+// entries (DecodeCellEntry) store only the counts, with the label once in
+// the entry's header, so a trial that is not exactly one integer
+// measurement of its cell cannot be cached or pushed.
 type Measurement struct {
 	Cell  string  `json:"cell"`  // aggregation key; jobs sharing a cell are pooled
 	Value float64 `json:"value"` // the observed quantity (usually a round count)

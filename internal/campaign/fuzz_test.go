@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // FuzzSpecJSON fuzzes the spec decode → canonicalize → re-encode cycle,
@@ -89,4 +90,50 @@ func retiredSchema(data []byte) bool {
 		return false
 	}
 	return probe.Adversaries != nil || probe.Ks != nil || probe.Version == 1
+}
+
+// FuzzCellEntry fuzzes DecodeCellEntry, the one reader of cell cache
+// entries and cluster result pushes — bytes from disk or from any worker
+// that can reach the coordinator. Pinned properties: decoding never
+// panics; whatever decodes re-encodes to exactly the input bytes (one
+// encoding per entry, so the cache and the warehouse never hold two
+// spellings of a cell); and the decoder allocates no more than the input
+// can justify — at most one measurement per input byte, plus an error
+// message — whatever trial count the header claims. The seeds are the
+// committed corpus: valid entries (one of an empty cell name), torn,
+// trailing, foreign, mis-counted and non-minimal ones, a count beyond the
+// bytes, and the JSON entry of an older build.
+func FuzzCellEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, cell string, trials int) {
+		var (
+			ms  []Measurement
+			err error
+		)
+		decode := func() { ms, err = DecodeCellEntry(data, cell, trials) }
+		limit := uint64(unsafe.Sizeof(Measurement{}))*uint64(len(data)) + 8*uint64(len(data)+len(cell)) + 1024
+		grew := allocatedBytes(decode)
+		for retry := 0; grew > limit && retry < 2; retry++ {
+			// The fuzzing process allocates on other goroutines too; a
+			// real over-allocation repeats on every call.
+			grew = min(grew, allocatedBytes(decode))
+		}
+		if grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if len(ms) != trials {
+			t.Fatalf("decoded %d trials, want %d", len(ms), trials)
+		}
+		again := appendEntryHeader(nil, cell, len(ms))
+		for i := range ms {
+			if again, err = appendEntryTrial(again, cell, ms[i:i+1]); err != nil {
+				t.Fatalf("decoded trial %d does not re-encode: %v", i, err)
+			}
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("entry re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"dyntreecast/internal/rng"
 )
 
 // This file is the campaign side of the distributed campaign fabric
@@ -63,12 +65,12 @@ type Remote interface {
 	// Open registers a campaign's pending cells (whole, TrialLo/TrialHi
 	// unset — sharding is the scheduler's choice). deliver is invoked at
 	// most once per (key, lo, hi) shard — serialized per shard, possibly
-	// concurrently across shards — with the shard's per-trial
-	// measurements in trial order (exactly hi-lo slices, for trials
-	// lo..hi-1 of the cell) when the remote side completes it. Shards
+	// concurrently across shards — with the shard's measurements in
+	// trial order (exactly hi-lo of them, one for each of the cell's
+	// trials lo..hi-1) when the remote side completes it. Shards
 	// the local pool claims and completes (ClaimLocal + CompleteLocal)
 	// are never delivered.
-	Open(jobs []CellJob, deliver func(key string, lo, hi int, trials [][]Measurement)) RemoteSession
+	Open(jobs []CellJob, deliver func(key string, lo, hi int, trials []Measurement)) RemoteSession
 }
 
 // RemoteSession coordinates one campaign's shards between the local pool
@@ -131,45 +133,60 @@ func cellJob(canon Spec, c cellPlan) CellJob {
 	}
 }
 
-// ExecuteCellJob runs one leased shard to completion and returns its
-// per-trial measurements in trial order (hi-lo slices, for trials
-// ShardBounds' lo..hi-1) — the worker side of the cluster protocol. The
-// job's spec is compiled locally and checked against the job's content
-// address (the handshake that catches engine drift beyond the version
-// string); the cell's jobs are compiled whole and the shard's sub-range
-// executed, so trial lo sees exactly the pre-split stream it would in a
-// whole-cell run. Any trial error fails the whole shard, because partial
-// shards are never pushed — the coordinator re-queues failed leases and
-// the deterministic error surfaces through the local pool instead.
-func ExecuteCellJob(ctx context.Context, job CellJob) ([][]Measurement, error) {
-	jobs, cells, _, err := job.Spec.compile()
+// ExecuteCellJob runs one leased shard to completion and returns it as a
+// cell entry (DecodeCellEntry) holding the shard's hi-lo trials for
+// ShardBounds' lo..hi-1 — the worker side of the cluster protocol, which
+// pushes the entry as is. The job's spec is planned locally and checked
+// against the job's content address (the handshake that catches engine
+// drift beyond the version string); the shard's trials then run on one
+// arena, each encoded as it finishes. Trial i's source is the one compile
+// splits off the cell's root — New of the root's i-th output — so the
+// root is advanced past the trials before lo instead of splitting a
+// source for every trial of the cell, and trial lo sees exactly the
+// stream it would in a whole-cell run. Any trial error fails the whole
+// shard, because partial shards are never pushed — the coordinator
+// re-queues failed leases and the deterministic error surfaces through
+// the local pool instead.
+func ExecuteCellJob(ctx context.Context, job CellJob) ([]byte, error) {
+	cells, canon, err := job.Spec.plan()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", job.Cell, err)
 	}
 	if len(cells) != 1 {
 		return nil, fmt.Errorf("campaign: cell %s: spec compiles to %d cells, want exactly 1", job.Cell, len(cells))
 	}
-	if cells[0].Key != job.Key {
+	c := cells[0]
+	if c.Key != job.Key {
 		return nil, fmt.Errorf("campaign: cell %s: content address mismatch (lease %.12s, computed %.12s)",
-			job.Cell, job.Key, cells[0].Key)
+			job.Cell, job.Key, c.Key)
 	}
 	lo, hi := job.ShardBounds()
-	if lo < 0 || hi > len(jobs) || lo >= hi {
+	if lo < 0 || hi > canon.Trials || lo >= hi {
 		return nil, fmt.Errorf("campaign: cell %s: trial range [%d,%d) outside the cell's %d trials",
-			job.Cell, lo, hi, len(jobs))
+			job.Cell, lo, hi, canon.Trials)
 	}
-	results, err := Run(ctx, jobs[lo:hi], Config{Workers: 1})
-	if err != nil {
-		return nil, err
+	mBatchTrials.Observe(float64(hi - lo))
+	root := rng.New(canon.cellSeed(c.ground, c.N))
+	for range lo {
+		root.Uint64()
 	}
-	trials := make([][]Measurement, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("campaign: cell %s trial %d: %w", job.Cell, lo+i, r.Err)
+	run := runCell(c.ground, c.N, c.Cell, canon.goal(), canon.MaxRounds)
+	arena := NewArena()
+	entry := appendEntryHeader(nil, job.Cell, hi-lo)
+	for i := lo; i < hi; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("campaign: cancelled: %w", err)
 		}
-		trials[i] = r.Measurements
+		ms, err := run(ctx, root.Split(), arena)
+		countJob(err)
+		if err == nil {
+			entry, err = appendEntryTrial(entry, job.Cell, ms)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("campaign: cell %s trial %d: %w", job.Cell, i, err)
+		}
 	}
-	return trials, nil
+	return entry, nil
 }
 
 // runRemote is RunSpec's execution path when Config.Remote is set: cells
@@ -240,7 +257,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 			}
 		}
 	}
-	deliver := func(key string, lo, hi int, trials [][]Measurement) {
+	deliver := func(key string, lo, hi int, trials []Measurement) {
 		plans, ok := work[key]
 		if !ok {
 			return
@@ -250,7 +267,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 		if lo < 0 || hi > n || lo > hi || len(trials) != hi-lo {
 			// The Remote contract (and the coordinator's result
 			// validation) guarantee a shard inside the cell carrying
-			// exactly hi-lo slices; a scheduler that violates it has
+			// exactly hi-lo trials; a scheduler that violates it has
 			// marked the shard complete, so the only non-wedging
 			// response is loud per-job errors in the artifact (a hang
 			// or a swallowed panic would hide it).
@@ -268,7 +285,7 @@ func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, re
 		// position needs no cross-shard bookkeeping.
 		for _, plan := range plans {
 			for ti := lo; ti < hi; ti++ {
-				rs = append(rs, JobResult{Index: plan.Lo + ti, Measurements: trials[ti-lo]})
+				rs = append(rs, JobResult{Index: plan.Lo + ti, Measurements: trials[ti-lo : ti-lo+1 : ti-lo+1]})
 			}
 		}
 		fire(rs, plans, lo, hi)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +13,7 @@ import (
 // fakeRemote is an in-process Remote for exercising runRemote without
 // HTTP: it splits cells into shards of shard trials (0 = whole cell),
 // "executes" a chosen subset of them on a goroutine via ExecuteCellJob,
+// delivering each shard decoded from its entry as the coordinator does,
 // and leaves the rest to the local pool.
 type fakeRemote struct {
 	// takes decides which offered shards the fake executes remotely
@@ -55,7 +55,7 @@ func shardSplit(job CellJob, shard int) []*fakeShard {
 	return out
 }
 
-func (f *fakeRemote) Open(jobs []CellJob, deliver func(key string, lo, hi int, trials [][]Measurement)) RemoteSession {
+func (f *fakeRemote) Open(jobs []CellJob, deliver func(key string, lo, hi int, trials []Measurement)) RemoteSession {
 	s := &fakeSession{shards: make(map[string][]*fakeShard, len(jobs)), notify: make(chan struct{})}
 	var mine []*fakeShard
 	i := 0
@@ -74,9 +74,13 @@ func (f *fakeRemote) Open(jobs []CellJob, deliver func(key string, lo, hi int, t
 	}
 	go func() {
 		for _, sh := range mine {
-			trials, err := ExecuteCellJob(context.Background(), sh.job)
+			entry, err := ExecuteCellJob(context.Background(), sh.job)
 			if err != nil {
 				panic(err) // test grids never fail
+			}
+			trials, err := DecodeCellEntry(entry, sh.job.Cell, sh.hi-sh.lo)
+			if err != nil {
+				panic(err)
 			}
 			s.mu.Lock()
 			if sh.done {
@@ -271,9 +275,8 @@ func TestRunSpecRemoteShardedCancelStoresLandedCells(t *testing.T) {
 		if err != nil || !ok {
 			continue
 		}
-		var ent cellEntry
-		if err := json.Unmarshal(data, &ent); err != nil || len(ent.Trials) != spec.Trials {
-			t.Errorf("cached %s holds %d trials (err %v), want %d", cj.Cell, len(ent.Trials), err, spec.Trials)
+		if _, err := DecodeCellEntry(data, cj.Cell, spec.Trials); err != nil {
+			t.Errorf("cached %s does not hold its %d trials: %v", cj.Cell, spec.Trials, err)
 		}
 	}
 
@@ -291,9 +294,10 @@ func TestRunSpecRemoteShardedCancelStoresLandedCells(t *testing.T) {
 }
 
 // TestExecuteCellJobShard pins the worker-side shard semantics: a
-// sub-range execution returns exactly the whole-cell run's slices for
-// those trials (the pre-split streams make position, not company,
-// determine a trial's bytes), and out-of-range bounds are errors.
+// sub-range execution returns the entry of exactly the whole-cell run's
+// measurements for those trials (the pre-split streams make position,
+// not company, determine a trial's bytes), and out-of-range bounds are
+// errors.
 func TestExecuteCellJobShard(t *testing.T) {
 	spec := remoteTestSpec()
 	cellJobs, err := spec.CellJobs()
@@ -301,27 +305,27 @@ func TestExecuteCellJobShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := cellJobs[0]
-	whole, err := ExecuteCellJob(context.Background(), job)
+	wholeEntry, err := ExecuteCellJob(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := DecodeCellEntry(wholeEntry, job.Cell, job.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shard := job
 	shard.TrialLo, shard.TrialHi = 1, 3
-	part, err := ExecuteCellJob(context.Background(), shard)
+	partEntry, err := ExecuteCellJob(context.Background(), shard)
 	if err != nil {
 		t.Fatalf("ExecuteCellJob shard [1,3): %v", err)
 	}
-	if len(part) != 2 {
-		t.Fatalf("shard [1,3) returned %d trials, want 2", len(part))
+	part, err := DecodeCellEntry(partEntry, job.Cell, 2)
+	if err != nil {
+		t.Fatalf("shard [1,3) entry: %v", err)
 	}
-	for i, ms := range part {
-		if len(ms) != len(whole[1+i]) {
-			t.Fatalf("shard trial %d has %d measurements, whole-cell %d", 1+i, len(ms), len(whole[1+i]))
-		}
-		for j := range ms {
-			if ms[j] != whole[1+i][j] {
-				t.Errorf("shard trial %d measurement %d = %+v, whole-cell %+v", 1+i, j, ms[j], whole[1+i][j])
-			}
+	for i, m := range part {
+		if m != whole[1+i] {
+			t.Errorf("shard trial %d = %+v, whole-cell %+v", 1+i, m, whole[1+i])
 		}
 	}
 	for _, bad := range [][2]int{{-1, 2}, {2, 2}, {3, 2}, {0, job.Trials + 1}} {
@@ -443,12 +447,12 @@ func TestCellJobsSelfContained(t *testing.T) {
 		if j.Key != cells[i].Key || j.Cell != cells[i].Cell || j.Trials != cells[i].Hi-cells[i].Lo {
 			t.Errorf("cell job %d = %+v does not match plan %+v", i, j, cells[i])
 		}
-		trials, err := ExecuteCellJob(context.Background(), j)
+		entry, err := ExecuteCellJob(context.Background(), j)
 		if err != nil {
 			t.Fatalf("ExecuteCellJob(%s): %v", j.Cell, err)
 		}
-		if len(trials) != j.Trials {
-			t.Errorf("ExecuteCellJob(%s) returned %d trials, want %d", j.Cell, len(trials), j.Trials)
+		if _, err := DecodeCellEntry(entry, j.Cell, j.Trials); err != nil {
+			t.Errorf("ExecuteCellJob(%s) returned no entry of its %d trials: %v", j.Cell, j.Trials, err)
 		}
 	}
 	// Tampered content address: the worker-side handshake must refuse.

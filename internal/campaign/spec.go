@@ -6,13 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -247,7 +247,7 @@ func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
 		return nil, nil, Spec{}, err
 	}
 	goal := canon.goal()
-	var jobs []Job
+	jobs := make([]Job, 0, cells[len(cells)-1].Hi)
 	for _, c := range cells {
 		root := rng.New(canon.cellSeed(c.ground, c.N))
 		run := runCell(c.ground, c.N, c.Cell, goal, canon.MaxRounds)
@@ -299,113 +299,127 @@ type Outcome struct {
 	CacheHits int `json:"-"` // jobs satisfied from Config.Cache
 }
 
-// cellEntry is the JSON value stored in the cell cache: all of a cell's
-// per-trial measurements, in trial order. This package is the only one
-// that knows the format: readers outside it go through
-// SummarizeCellEntry.
-type cellEntry struct {
-	Cell   string          `json:"cell"`
-	Trials [][]Measurement `json:"trials"`
+// CellEntryFormat is the format byte that opens every cell entry: the
+// one encoding of a cell's (or a shard's) trials, shared by the cell
+// cache, the results warehouse and cluster result pushes. An entry is
+//
+//	format byte | uvarint len(cell) | cell | uvarint trials | trials × uvarint rounds
+//
+// with one round count per trial, in trial order. The format lives in
+// the entry, not in the cache key, so cache keys stay the warehouse's
+// cell identities; an entry in any other format (the JSON entries of
+// older builds among them) fails to decode and is healed like a torn one.
+// Cluster workers present it at lease time, next to EngineVersion.
+const CellEntryFormat = 1
+
+// maxEntryRounds bounds an entry's round counts to the integers a
+// float64 measurement holds exactly, so every decoded entry re-encodes to
+// the same bytes.
+const maxEntryRounds = 1 << 53
+
+// appendEntryHeader appends the header of an entry holding trials trials
+// of the named cell.
+func appendEntryHeader(b []byte, cell string, trials int) []byte {
+	b = append(b, CellEntryFormat)
+	b = binary.AppendUvarint(b, uint64(len(cell)))
+	b = append(b, cell...)
+	return binary.AppendUvarint(b, uint64(trials))
 }
 
-// decodeCellEntry decodes a cell-cache entry that must hold exactly
-// trials trials and returns their measurements in trial order.
-func decodeCellEntry(data []byte, trials int) ([][]Measurement, error) {
-	var ent cellEntry
-	if err := json.Unmarshal(data, &ent); err != nil {
-		return nil, fmt.Errorf("campaign: decoding cell entry: %w", err)
+// appendEntryTrial appends one trial's round count. The trial must be
+// exactly one measurement of the named cell whose value is a
+// non-negative integer; anything else cannot be stored.
+func appendEntryTrial(b []byte, cell string, ms []Measurement) ([]byte, error) {
+	if len(ms) != 1 || ms[0].Cell != cell {
+		return b, fmt.Errorf("campaign: cell entry %s: a trial must be one measurement of the cell, got %v", cell, ms)
 	}
-	if len(ent.Trials) != trials {
-		return nil, fmt.Errorf("campaign: cell entry holds %d trials, want %d", len(ent.Trials), trials)
+	if v := ms[0].Value; !(v >= 0 && v <= maxEntryRounds) || math.Signbit(v) || v != math.Trunc(v) {
+		return b, fmt.Errorf("campaign: cell entry %s: value %v is not a round count", cell, v)
 	}
-	return ent.Trials, nil
+	return binary.AppendUvarint(b, uint64(ms[0].Value)), nil
 }
 
-// SummarizeCellEntry decodes a cell-cache entry that must hold exactly
-// trials trials and summarizes the named cell's measurements the way
-// Aggregate summarizes a live run — values pooled in trial order — so
-// stats read back from stored bytes match the artifact's bit for bit.
-// Torn, foreign or mis-sized bytes are an error.
+// appendCellEntry appends to b the entry of the cell named cell whose
+// trials are results, in order. The cell store encodes every cell into
+// one reused buffer through it.
+func appendCellEntry(b []byte, cell string, results []JobResult) ([]byte, error) {
+	b = appendEntryHeader(b, cell, len(results))
+	for _, r := range results {
+		var err error
+		if b, err = appendEntryTrial(b, cell, r.Measurements); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// DecodeCellEntry decodes an entry that must be the named cell's and hold
+// exactly trials trials, returning one measurement per trial, in trial
+// order, in a single allocation. It is the one reader of cell cache
+// entries and cluster pushes alike, and it trusts nothing: the format,
+// the cell name and the trial count are checked against the caller's
+// expectation, and the count against the bytes that remain, before
+// anything is allocated; torn input, non-minimal varints, round counts
+// beyond maxEntryRounds and trailing bytes are errors.
+func DecodeCellEntry(data []byte, cell string, trials int) ([]Measurement, error) {
+	if len(data) == 0 || data[0] != CellEntryFormat {
+		return nil, fmt.Errorf("campaign: cell entry %s: not in entry format %d", cell, CellEntryFormat)
+	}
+	p := data[1:]
+	nameLen, p, err := entryUvarint(p)
+	if err != nil || nameLen > uint64(len(p)) {
+		return nil, fmt.Errorf("campaign: cell entry %s: torn header", cell)
+	}
+	if name := p[:nameLen]; string(name) != cell {
+		return nil, fmt.Errorf("campaign: cell entry %s: holds cell %q", cell, name)
+	}
+	count, p, err := entryUvarint(p[nameLen:])
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("campaign: cell entry %s: torn header", cell)
+	case trials < 0 || count != uint64(trials):
+		return nil, fmt.Errorf("campaign: cell entry %s: holds %d trials, want %d", cell, count, trials)
+	case count > uint64(len(p)):
+		return nil, fmt.Errorf("campaign: cell entry %s: %d trials in %d bytes", cell, count, len(p))
+	}
+	ms := make([]Measurement, count)
+	for i := range ms {
+		var rounds uint64
+		if rounds, p, err = entryUvarint(p); err != nil || rounds > maxEntryRounds {
+			return nil, fmt.Errorf("campaign: cell entry %s: torn or out-of-range trial %d", cell, i)
+		}
+		ms[i] = Measurement{Cell: cell, Value: float64(rounds)}
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("campaign: cell entry %s: %d trailing bytes", cell, len(p))
+	}
+	return ms, nil
+}
+
+// entryUvarint reads one minimally encoded uvarint off the front of p.
+func entryUvarint(p []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
+		return 0, p, errors.New("bad uvarint")
+	}
+	return v, p[n:], nil
+}
+
+// SummarizeCellEntry decodes an entry that must be the named cell's and
+// hold exactly trials trials, and summarizes it the way Aggregate
+// summarizes a live run — values pooled in trial order — so stats read
+// back from stored bytes match the artifact's bit for bit. Torn, foreign
+// or mis-sized bytes are an error.
 func SummarizeCellEntry(data []byte, cell string, trials int) (CellStats, error) {
-	ms, err := decodeCellEntry(data, trials)
+	ms, err := DecodeCellEntry(data, cell, trials)
 	if err != nil {
 		return CellStats{}, err
 	}
-	var xs []float64
-	for _, trial := range ms {
-		for _, m := range trial {
-			if m.Cell == cell {
-				xs = append(xs, m.Value)
-			}
-		}
+	xs := make([]float64, len(ms))
+	for i, m := range ms {
+		xs[i] = m.Value
 	}
 	return summarize(cell, xs), nil
-}
-
-// appendCellEntry appends to b the cache entry of the cell named cell
-// whose trials are results, in order — byte for byte the json.Marshal
-// encoding of the matching cellEntry, which decodeCellEntry decodes. It exists so the cell store can encode into one reused
-// buffer: json.Marshal draws its scratch from a per-P pool, and the
-// storing goroutine, which wakes on whichever P is free, would regrow
-// that scratch on every miss.
-func appendCellEntry(b []byte, cell string, results []JobResult) ([]byte, error) {
-	name, err := json.Marshal(cell)
-	if err != nil {
-		return b, err
-	}
-	b = append(b, `{"cell":`...)
-	b = append(b, name...)
-	b = append(b, `,"trials":[`...)
-	for i, r := range results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		ms := r.Measurements
-		if ms == nil {
-			b = append(b, "null"...)
-			continue
-		}
-		b = append(b, '[')
-		for k, m := range ms {
-			if k > 0 {
-				b = append(b, ',')
-			}
-			q := name
-			if m.Cell != cell {
-				if q, err = json.Marshal(m.Cell); err != nil {
-					return b, err
-				}
-			}
-			b = append(b, `{"cell":`...)
-			b = append(b, q...)
-			b = append(b, `,"value":`...)
-			if b, err = appendJSONFloat(b, m.Value); err != nil {
-				return b, err
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, "]}"...), nil
-}
-
-// appendJSONFloat appends f exactly as encoding/json encodes a float64:
-// shortest decimal, exponent form outside [1e-6, 1e21), no leading zero
-// in a negative exponent. NaN and infinities are errors, as there.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, fmt.Errorf("campaign: unsupported measurement value %v", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 → e-9
-		b = b[:n-1]
-	}
-	return b, nil
 }
 
 // RunSpec compiles and executes the spec on cfg's worker pool and
@@ -447,8 +461,8 @@ func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 			if !ok {
 				continue
 			}
-			for ti, ms := range trials {
-				results[c.Lo+ti] = JobResult{Index: c.Lo + ti, Measurements: ms}
+			for ti := range trials {
+				results[c.Lo+ti] = JobResult{Index: c.Lo + ti, Measurements: trials[ti : ti+1 : ti+1]}
 			}
 			cacheHits += len(trials)
 		}
@@ -490,14 +504,15 @@ func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
 	return out, runErr
 }
 
-// loadCell reads one cell's per-trial measurements from the cache. A
-// truncated, torn, or foreign entry is a miss, never an error: the cell
+// loadCell reads one cell's per-trial measurements from the cache, one
+// per trial. A truncated, torn, or foreign entry — or one in another
+// entry format — is a miss, never an error: the cell
 // is recomputed (the determinism contract makes the recomputation
 // byte-identical to what the entry should have held). Backends that can
 // delete also heal — the bad bytes are evicted immediately instead of
 // being served to readers that never Put (the warehouse query layer)
 // until some campaign overwrites them.
-func loadCell(c cache.Cache, plan cellPlan) ([][]Measurement, bool, error) {
+func loadCell(c cache.Cache, plan cellPlan) ([]Measurement, bool, error) {
 	data, ok, err := c.Get(plan.Key)
 	if err != nil {
 		return nil, false, fmt.Errorf("campaign: cache get %s: %w", plan.Cell, err)
@@ -505,7 +520,7 @@ func loadCell(c cache.Cache, plan cellPlan) ([][]Measurement, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	if trials, err := decodeCellEntry(data, plan.Hi-plan.Lo); err == nil {
+	if trials, err := DecodeCellEntry(data, plan.Cell, plan.Hi-plan.Lo); err == nil {
 		return trials, true, nil
 	}
 	if d, ok := c.(cache.Deleter); ok {

@@ -2,19 +2,20 @@
 // §3e, §3g): a Coordinator that shards running campaigns' grid cells to
 // remote workers over HTTP — whole cells by default, or sub-cell trial
 // ranges with Options.ShardTrials — and the worker loop (RunWorker) that
-// leases shards, executes them on the arena pipeline, and pushes
-// per-trial measurements back keyed by each cell's content address and
-// trial range.
+// leases shards, executes them on the arena pipeline, and pushes each
+// shard back as a cell entry (campaign.DecodeCellEntry) keyed by the
+// cell's content address and trial range.
 //
 // The protocol is two endpoints, mounted by internal/server (and by
 // cmd/campaign -join) under /cluster:
 //
-//	POST /cluster/lease    {worker, engine} → 200 {lease_id, ttl_ms, job}
-//	                       | 204 (no pending work) | 409 (engine version
-//	                       mismatch — the handshake that keeps a stale
-//	                       worker from ever computing a cell)
+//	POST /cluster/lease    {worker, engine, entry_format} → 200 {lease_id,
+//	                       ttl_ms, job} | 204 (no pending work) | 409
+//	                       (engine version or entry format mismatch — the
+//	                       handshake that keeps a stale worker from ever
+//	                       computing a cell)
 //	POST /cluster/results  {lease_id, worker, key, trial_lo?, trial_hi?,
-//	                       trials | error} → 200 {accepted, reason?}
+//	                       entry | error} → 200 {accepted, reason?}
 //
 // Correctness leans entirely on the campaign determinism contract: a
 // shard is a pure function of its content address and trial range (every
@@ -28,8 +29,8 @@
 // §3g for sub-cell sharding.
 //
 // Trust note: workers are trusted to compute honestly. The protocol
-// validates lease currency, the content-address echo, the trial count,
-// and measurement cell labels, but it does not recompute or
+// validates lease currency, the content-address echo, and the pushed
+// entry's format, cell name and trial count, but it does not recompute or
 // cryptographically verify measurement values — a worker that fabricates
 // plausible values for a cell it legitimately holds can corrupt that
 // cell. Run workers inside your trust boundary (the endpoints carry no
@@ -72,8 +73,9 @@ type Options struct {
 
 // LeaseRequest is the body of POST /cluster/lease.
 type LeaseRequest struct {
-	Worker string `json:"worker"` // self-chosen worker identity, for logs
-	Engine string `json:"engine"` // the worker's campaign.EngineVersion
+	Worker      string `json:"worker"`       // self-chosen worker identity, for logs
+	Engine      string `json:"engine"`       // the worker's campaign.EngineVersion
+	EntryFormat int    `json:"entry_format"` // the worker's campaign.CellEntryFormat
 }
 
 // LeaseResponse is the 200 body of POST /cluster/lease: one leased cell.
@@ -83,20 +85,21 @@ type LeaseResponse struct {
 	Job      campaign.CellJob `json:"job"`
 }
 
-// ResultPush is the body of POST /cluster/results: a completed shard's
-// per-trial measurements (or, with Error set, a failed lease the
-// coordinator should re-queue). TrialLo/TrialHi echo the leased job's
-// sub-range; both zero means the whole cell, which is what pre-sharding
-// workers push — against a sharded lease that normalizes to a range
-// mismatch and a harmless re-queue, never a corrupt splice.
+// ResultPush is the body of POST /cluster/results: a completed shard as
+// a cell entry (campaign.ExecuteCellJob's output, base64 in the JSON
+// envelope), or, with Error set, a failed lease the coordinator should
+// re-queue. TrialLo/TrialHi echo the leased job's sub-range; both zero
+// means the whole cell, which is what pre-sharding workers push — against
+// a sharded lease that normalizes to a range mismatch and a harmless
+// re-queue, never a corrupt splice.
 type ResultPush struct {
-	LeaseID string                   `json:"lease_id"`
-	Worker  string                   `json:"worker"`
-	Key     string                   `json:"key"` // echo of the cell's content address
-	TrialLo int                      `json:"trial_lo,omitempty"`
-	TrialHi int                      `json:"trial_hi,omitempty"`
-	Trials  [][]campaign.Measurement `json:"trials,omitempty"`
-	Error   string                   `json:"error,omitempty"`
+	LeaseID string `json:"lease_id"`
+	Worker  string `json:"worker"`
+	Key     string `json:"key"` // echo of the cell's content address
+	TrialLo int    `json:"trial_lo,omitempty"`
+	TrialHi int    `json:"trial_hi,omitempty"`
+	Entry   []byte `json:"entry,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // ResultAck is the 200 body of POST /cluster/results. Accepted is false
@@ -113,7 +116,7 @@ type ResultAck struct {
 // every cell is one shard, so the counts match pre-sharding semantics.
 type Stats struct {
 	LeasesGranted  int // shards handed to remote workers
-	LeasesRejected int // version-handshake rejections
+	LeasesRejected int // engine-version or entry-format handshake rejections
 	RemoteCells    int // shards completed by remote workers
 	Requeued       int // leases expired, failed, or invalid → shard re-pooled
 }
@@ -157,7 +160,7 @@ type lease struct {
 type session struct {
 	c       *Coordinator
 	id      int
-	deliver func(key string, lo, hi int, trials [][]campaign.Measurement)
+	deliver func(key string, lo, hi int, trials []campaign.Measurement)
 	order   []string // claim order (campaign compile order)
 	cells   map[string]*cellState
 	pending int // shards not yet complete
@@ -254,7 +257,7 @@ func (c *Coordinator) Handler() http.Handler {
 // Open implements campaign.Remote: it registers a campaign's pending
 // cells for leasing and returns the session its local pool coordinates
 // through.
-func (c *Coordinator) Open(jobs []campaign.CellJob, deliver func(key string, lo, hi int, trials [][]campaign.Measurement)) campaign.RemoteSession {
+func (c *Coordinator) Open(jobs []campaign.CellJob, deliver func(key string, lo, hi int, trials []campaign.Measurement)) campaign.RemoteSession {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextSess++
@@ -432,25 +435,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// HandleLease serves POST /cluster/lease: the engine-version handshake,
-// then the oldest claimable shard across open sessions.
+// HandleLease serves POST /cluster/lease: the engine-version and
+// entry-format handshake, then the oldest claimable shard across open
+// sessions.
 func (c *Coordinator) HandleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decoding lease request: %v", err)})
 		return
 	}
-	if req.Engine != campaign.EngineVersion {
+	var reject string
+	switch {
+	case req.Engine != campaign.EngineVersion:
+		reject = fmt.Sprintf("engine version mismatch: worker %q speaks %q, coordinator %q — results would not be byte-identical",
+			req.Worker, req.Engine, campaign.EngineVersion)
+	case req.EntryFormat != campaign.CellEntryFormat:
+		reject = fmt.Sprintf("entry format mismatch: worker %q pushes format %d, coordinator reads %d",
+			req.Worker, req.EntryFormat, campaign.CellEntryFormat)
+	}
+	if reject != "" {
 		c.mu.Lock()
 		c.stats.LeasesRejected++
 		c.seen(req.Worker, req.Engine).rejected = true
 		c.mu.Unlock()
 		cmLeasesRejected.Inc()
-		c.logf("cluster: rejected worker %q: engine %q, coordinator speaks %q", req.Worker, req.Engine, campaign.EngineVersion)
-		writeJSON(w, http.StatusConflict, map[string]string{
-			"error": fmt.Sprintf("engine version mismatch: worker %q speaks %q, coordinator %q — results would not be byte-identical",
-				req.Worker, req.Engine, campaign.EngineVersion),
-		})
+		c.logf("cluster: rejected worker %q: %s", req.Worker, reject)
+		writeJSON(w, http.StatusConflict, map[string]string{"error": reject})
 		return
 	}
 
@@ -499,21 +509,18 @@ func (c *Coordinator) HandleLease(w http.ResponseWriter, r *http.Request) {
 // by (content address, trial range) — as long as the shard is
 // incomplete, because a late result of a pure function equals a fresh
 // one (pushes for completed shards are acknowledged and dropped, equally
-// losslessly). Either way the payload must carry exactly the shard's
-// trial count with uniformly labeled measurements; a worker-reported
-// error or an invalid payload re-queues the shard for the local pool or
-// another worker.
+// losslessly). Either way the entry must decode as the leased cell's
+// with exactly the shard's trial count; a worker-reported error or an
+// invalid entry re-queues the shard for the local pool or another
+// worker. The decode runs under the coordinator lock, but its cost is
+// bounded by the leased shard, not by the payload: the entry's header is
+// checked against the shard before a single trial is read.
 func (c *Coordinator) HandleResults(w http.ResponseWriter, r *http.Request) {
 	var push ResultPush
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&push); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decoding result push: %v", err)})
 		return
 	}
-	// The per-measurement label scan runs before taking the coordinator
-	// lock (payloads reach 64MB; the lock serializes every lease grant
-	// and local claim): verify the labels are uniform here, compare the
-	// single label against the leased cell under the lock.
-	label, uniform := measurementLabel(push.Trials)
 	c.mu.Lock()
 	ws := c.seen(push.Worker, "")
 	var s *session
@@ -581,11 +588,10 @@ func (c *Coordinator) HandleResults(w http.ResponseWriter, r *http.Request) {
 		// the wrong trials.
 		requeue("invalid", fmt.Sprintf("trial range mismatch: pushed [%d,%d), leased [%d,%d)", pLo, pHi, sh.lo, sh.hi))
 		return
-	case len(push.Trials) != sh.hi-sh.lo:
-		requeue("invalid", fmt.Sprintf("trial count mismatch: pushed %d, want %d", len(push.Trials), sh.hi-sh.lo))
-		return
-	case !uniform || (label != "" && label != cs.job.Cell):
-		requeue("invalid", fmt.Sprintf("measurement cell mismatch: trials not labeled %q", cs.job.Cell))
+	}
+	trials, err := campaign.DecodeCellEntry(push.Entry, cs.job.Cell, sh.hi-sh.lo)
+	if err != nil {
+		requeue("invalid", err.Error())
 		return
 	}
 	sh.done = true
@@ -605,7 +611,7 @@ func (c *Coordinator) HandleResults(w http.ResponseWriter, r *http.Request) {
 	// once is guaranteed by the done flip above; pending is decremented
 	// only after delivery, so the campaign cannot observe "all shards
 	// complete" while this shard's results are still in flight.
-	deliver(push.Key, lo, hi, push.Trials)
+	deliver(push.Key, lo, hi, trials)
 	c.mu.Lock()
 	s.pending--
 	s.wake()
@@ -632,23 +638,4 @@ func (c *Coordinator) cellByKey(key string) (*session, *cellState) {
 		}
 	}
 	return nil, nil
-}
-
-// measurementLabel scans a pushed payload and returns its single cell
-// label (or "" when the payload carries no measurements) and whether
-// every measurement agrees on it — a sanity check against sloppy or
-// foreign payloads, not a proof of honest computation (see the trust
-// note in the package comment). Runs lock-free; the caller compares the
-// label against the leased cell under the coordinator lock.
-func measurementLabel(trials [][]campaign.Measurement) (label string, uniform bool) {
-	for _, ms := range trials {
-		for _, m := range ms {
-			if label == "" {
-				label = m.Cell
-			} else if m.Cell != label {
-				return "", false
-			}
-		}
-	}
-	return label, true
 }

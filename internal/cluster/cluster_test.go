@@ -90,9 +90,88 @@ func TestLeaseVersionHandshake(t *testing.T) {
 		t.Fatalf("LeasesRejected = %d, want 1", got)
 	}
 	// A version-matched worker with no open campaigns gets no content.
-	status = postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "ok", Engine: campaign.EngineVersion}, nil)
+	status = postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "ok", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, nil)
 	if status != http.StatusNoContent {
 		t.Fatalf("idle lease: status %d, want %d", status, http.StatusNoContent)
+	}
+}
+
+// TestLeaseEntryFormatHandshake: a worker that does not present the
+// coordinator's entry format — one built before cell entries were binary
+// sends none — is turned away with the engine-mismatch 409 before it
+// computes anything, even while work is pending.
+func TestLeaseEntryFormatHandshake(t *testing.T) {
+	c := New(Options{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	sess, _, _, _ := openSession(t, c, testSpec())
+	defer sess.Close()
+
+	for _, req := range []LeaseRequest{
+		{Worker: "json-pusher", Engine: campaign.EngineVersion},
+		{Worker: "future", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat + 1},
+	} {
+		if status := postJSON(t, srv.URL+"/cluster/lease", req, nil); status != http.StatusConflict {
+			t.Fatalf("lease with entry format %d: status %d, want %d", req.EntryFormat, status, http.StatusConflict)
+		}
+	}
+	if s := c.Stats(); s.LeasesRejected != 2 || s.LeasesGranted != 0 {
+		t.Fatalf("stats = %+v, want 2 rejections and no grant", s)
+	}
+}
+
+// TestLegacyTrialsPushRequeued: a push in the JSON shape of older
+// builds — per-trial measurements under "trials", no entry — is
+// re-queued, never spliced; the shard stays leasable and a push with the
+// entry completes it.
+func TestLegacyTrialsPushRequeued(t *testing.T) {
+	c := New(Options{LeaseTTL: time.Minute})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	spec := testSpec()
+	spec.Ns, spec.Scenarios = []int{6}, spec.Scenarios[:1] // one cell
+	sess, jobs, got, mu := openSession(t, c, spec)
+	defer sess.Close()
+
+	lease := func(worker string) LeaseResponse {
+		var lr LeaseResponse
+		if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: worker, Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lr); status != http.StatusOK {
+			t.Fatalf("lease for %s: status %d", worker, status)
+		}
+		return lr
+	}
+	entry, err := campaign.ExecuteCellJob(context.Background(), jobs[0])
+	if err != nil {
+		t.Fatalf("ExecuteCellJob: %v", err)
+	}
+	trials, err := campaign.DecodeCellEntry(entry, jobs[0].Cell, jobs[0].Trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyTrials := make([][]campaign.Measurement, len(trials))
+	for i := range trials {
+		legacyTrials[i] = trials[i : i+1]
+	}
+	legacy := map[string]any{"lease_id": lease("old").LeaseID, "worker": "old", "key": jobs[0].Key, "trials": legacyTrials}
+	var ack ResultAck
+	postJSON(t, srv.URL+"/cluster/results", legacy, &ack)
+	if ack.Accepted {
+		t.Fatal("legacy trials push was accepted")
+	}
+	mu.Lock()
+	deliveries := len(*got)
+	mu.Unlock()
+	if deliveries != 0 {
+		t.Fatalf("legacy push delivered %d times, want none", deliveries)
+	}
+
+	honest := lease("new")
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: honest.LeaseID, Worker: "new", Key: jobs[0].Key, Entry: entry}, &ack)
+	if !ack.Accepted {
+		t.Fatalf("entry push rejected: %s", ack.Reason)
+	}
+	if s := c.Stats(); s.Requeued != 1 || s.RemoteCells != 1 {
+		t.Fatalf("stats = %+v, want 1 requeue and 1 remote cell", s)
 	}
 }
 
@@ -101,7 +180,7 @@ func TestLeaseVersionHandshake(t *testing.T) {
 type delivery struct {
 	key    string
 	lo, hi int
-	trials [][]campaign.Measurement
+	trials []campaign.Measurement
 }
 
 func openSession(t *testing.T, c *Coordinator, spec campaign.Spec) (campaign.RemoteSession, []campaign.CellJob, *[]delivery, *sync.Mutex) {
@@ -112,7 +191,7 @@ func openSession(t *testing.T, c *Coordinator, spec campaign.Spec) (campaign.Rem
 	}
 	var mu sync.Mutex
 	var got []delivery
-	sess := c.Open(jobs, func(key string, lo, hi int, trials [][]campaign.Measurement) {
+	sess := c.Open(jobs, func(key string, lo, hi int, trials []campaign.Measurement) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, delivery{key, lo, hi, trials})
@@ -130,13 +209,13 @@ func TestLeaseExpiryReissueAndStaleDrop(t *testing.T) {
 	defer sess.Close()
 
 	var leaseA LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "a", Engine: campaign.EngineVersion}, &leaseA); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "a", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &leaseA); status != http.StatusOK {
 		t.Fatalf("lease A: status %d", status)
 	}
 	// Worker a dies silently. After the TTL the same cell is re-issued.
 	time.Sleep(60 * time.Millisecond)
 	var leaseB LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "b", Engine: campaign.EngineVersion}, &leaseB); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "b", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &leaseB); status != http.StatusOK {
 		t.Fatalf("lease B after expiry: status %d", status)
 	}
 	if leaseB.Job.Key != leaseA.Job.Key {
@@ -146,18 +225,18 @@ func TestLeaseExpiryReissueAndStaleDrop(t *testing.T) {
 		t.Fatalf("re-issue reused lease id %s", leaseA.LeaseID)
 	}
 
-	trials, err := campaign.ExecuteCellJob(context.Background(), leaseB.Job)
+	entry, err := campaign.ExecuteCellJob(context.Background(), leaseB.Job)
 	if err != nil {
 		t.Fatalf("ExecuteCellJob: %v", err)
 	}
 	var ack ResultAck
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: leaseB.LeaseID, Worker: "b", Key: leaseB.Job.Key, Trials: trials}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: leaseB.LeaseID, Worker: "b", Key: leaseB.Job.Key, Entry: entry}, &ack)
 	if !ack.Accepted {
 		t.Fatalf("fresh push rejected: %s", ack.Reason)
 	}
 	// Worker a resurrects and pushes the same (byte-identical) cell under
 	// its superseded lease: acknowledged, dropped, harmless.
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: leaseA.LeaseID, Worker: "a", Key: leaseA.Job.Key, Trials: trials}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: leaseA.LeaseID, Worker: "a", Key: leaseA.Job.Key, Entry: entry}, &ack)
 	if ack.Accepted {
 		t.Fatalf("stale push was accepted")
 	}
@@ -182,7 +261,7 @@ func TestWorkerKillMidCellLocalSteal(t *testing.T) {
 	defer sess.Close()
 
 	var lease LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "doomed", Engine: campaign.EngineVersion}, &lease); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "doomed", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lease); status != http.StatusOK {
 		t.Fatalf("lease: status %d", status)
 	}
 	// The worker dies mid-cell: no push ever arrives. The local pool
@@ -205,7 +284,7 @@ func TestWorkerKillMidCellLocalSteal(t *testing.T) {
 	// A locally completed cell is never remote-delivered, and the dead
 	// worker's lease is gone: a late push misses.
 	var ack ResultAck
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "doomed", Key: lease.Job.Key, Trials: nil}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "doomed", Key: lease.Job.Key, Entry: nil}, &ack)
 	if ack.Accepted {
 		t.Fatalf("push under stolen lease was accepted")
 	}
@@ -227,7 +306,7 @@ func TestResultValidationRequeues(t *testing.T) {
 
 	lease := func(worker string) LeaseResponse {
 		var lr LeaseResponse
-		if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: worker, Engine: campaign.EngineVersion}, &lr); status != http.StatusOK {
+		if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: worker, Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lr); status != http.StatusOK {
 			t.Fatalf("lease for %s: status %d", worker, status)
 		}
 		return lr
@@ -239,9 +318,27 @@ func TestResultValidationRequeues(t *testing.T) {
 		return ack
 	}
 
-	trials, err := campaign.ExecuteCellJob(context.Background(), jobs[0])
+	entry, err := campaign.ExecuteCellJob(context.Background(), jobs[0])
 	if err != nil {
 		t.Fatalf("ExecuteCellJob: %v", err)
+	}
+	// The entry of the cell's first two trials, and a whole-cell entry
+	// of a foreign cell with the same trial count.
+	short := jobs[0]
+	short.TrialLo, short.TrialHi = 0, 2
+	shortEntry, err := campaign.ExecuteCellJob(context.Background(), short)
+	if err != nil {
+		t.Fatalf("ExecuteCellJob [0,2): %v", err)
+	}
+	foreign := testSpec()
+	foreign.Ns, foreign.Scenarios = []int{8}, foreign.Scenarios[:1]
+	foreignJobs, err := foreign.CellJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignEntry, err := campaign.ExecuteCellJob(context.Background(), foreignJobs[0])
+	if err != nil {
+		t.Fatalf("ExecuteCellJob %s: %v", foreignJobs[0].Cell, err)
 	}
 
 	// Worker-reported error: the cell goes back in the pool immediately.
@@ -249,27 +346,20 @@ func TestResultValidationRequeues(t *testing.T) {
 		t.Fatalf("error push was accepted")
 	}
 	// Content-address mismatch: rejected and re-queued.
-	if ack := push(lease("confused"), ResultPush{Key: "deadbeef", Trials: trials}); ack.Accepted {
+	if ack := push(lease("confused"), ResultPush{Key: "deadbeef", Entry: entry}); ack.Accepted {
 		t.Fatalf("mismatched-key push was accepted")
 	}
 	// Trial-count mismatch: rejected and re-queued.
-	if ack := push(lease("truncating"), ResultPush{Key: jobs[0].Key, Trials: trials[:2]}); ack.Accepted {
+	if ack := push(lease("truncating"), ResultPush{Key: jobs[0].Key, Entry: shortEntry}); ack.Accepted {
 		t.Fatalf("short push was accepted")
 	}
-	// Measurements labeled with a foreign cell: rejected and re-queued.
-	relabeled := make([][]campaign.Measurement, len(trials))
-	for i, ms := range trials {
-		relabeled[i] = append([]campaign.Measurement(nil), ms...)
-		for j := range relabeled[i] {
-			relabeled[i][j].Cell = "someone-else/n=99"
-		}
-	}
-	if ack := push(lease("mislabeling"), ResultPush{Key: jobs[0].Key, Trials: relabeled}); ack.Accepted {
+	// An entry labeled with a foreign cell: rejected and re-queued.
+	if ack := push(lease("mislabeling"), ResultPush{Key: jobs[0].Key, Entry: foreignEntry}); ack.Accepted {
 		t.Fatalf("mislabeled push was accepted")
 	}
 	// After four bad pushes the cell is still leasable, and a valid push
 	// completes it.
-	if ack := push(lease("honest"), ResultPush{Key: jobs[0].Key, Trials: trials}); !ack.Accepted {
+	if ack := push(lease("honest"), ResultPush{Key: jobs[0].Key, Entry: entry}); !ack.Accepted {
 		t.Fatalf("valid push rejected: %s", ack.Reason)
 	}
 	mu.Lock()
@@ -313,7 +403,7 @@ func startWorkers(t *testing.T, url string, n int) (stop func()) {
 // nothing and tolerates a coordinator that has already gone away, since
 // it races the test body.
 func killerWorker(url string, max int) {
-	body, _ := json.Marshal(LeaseRequest{Worker: "killer", Engine: campaign.EngineVersion})
+	body, _ := json.Marshal(LeaseRequest{Worker: "killer", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat})
 	for i := 0; i < max; i++ {
 		resp, err := http.Post(url+"/cluster/lease", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -620,16 +710,16 @@ func TestLatePushAfterExpiryStillCounts(t *testing.T) {
 	defer sess.Close()
 
 	var lease LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "slow", Engine: campaign.EngineVersion}, &lease); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "slow", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lease); status != http.StatusOK {
 		t.Fatalf("lease: status %d", status)
 	}
-	trials, err := campaign.ExecuteCellJob(context.Background(), lease.Job)
+	entry, err := campaign.ExecuteCellJob(context.Background(), lease.Job)
 	if err != nil {
 		t.Fatalf("ExecuteCellJob: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond) // outlive the lease; nobody else claims
 	var ack ResultAck
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "slow", Key: lease.Job.Key, Trials: trials}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "slow", Key: lease.Job.Key, Entry: entry}, &ack)
 	if !ack.Accepted {
 		t.Fatalf("late push for an incomplete cell rejected: %s", ack.Reason)
 	}
@@ -639,7 +729,7 @@ func TestLatePushAfterExpiryStillCounts(t *testing.T) {
 		t.Fatalf("deliveries = %+v, want the late cell", *got)
 	}
 	// And a second (duplicate) late push is dropped: the cell is done.
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "slow", Key: lease.Job.Key, Trials: trials}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lease.LeaseID, Worker: "slow", Key: lease.Job.Key, Entry: entry}, &ack)
 	if ack.Accepted {
 		t.Fatalf("duplicate late push was accepted")
 	}
@@ -661,7 +751,7 @@ func TestShardedLeasesCoverCell(t *testing.T) {
 	leases := make([]LeaseResponse, 0, len(wantRanges))
 	for i, want := range wantRanges {
 		var lr LeaseResponse
-		if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: fmt.Sprintf("w%d", i), Engine: campaign.EngineVersion}, &lr); status != http.StatusOK {
+		if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: fmt.Sprintf("w%d", i), Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lr); status != http.StatusOK {
 			t.Fatalf("lease %d: status %d", i, status)
 		}
 		if lo, hi := lr.Job.ShardBounds(); lo != want[0] || hi != want[1] {
@@ -670,19 +760,19 @@ func TestShardedLeasesCoverCell(t *testing.T) {
 		leases = append(leases, lr)
 	}
 	// Every shard is under an active lease: the next request gets 204.
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "idle", Engine: campaign.EngineVersion}, nil); status != http.StatusNoContent {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "idle", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, nil); status != http.StatusNoContent {
 		t.Fatalf("fourth lease: status %d, want 204", status)
 	}
 	// Push the shards out of order; each delivery carries its own range.
 	for _, i := range []int{2, 0, 1} {
 		lr := leases[i]
-		trials, err := campaign.ExecuteCellJob(context.Background(), lr.Job)
+		entry, err := campaign.ExecuteCellJob(context.Background(), lr.Job)
 		if err != nil {
 			t.Fatalf("ExecuteCellJob shard %d: %v", i, err)
 		}
 		var ack ResultAck
 		postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lr.LeaseID, Worker: "w", Key: lr.Job.Key,
-			TrialLo: lr.Job.TrialLo, TrialHi: lr.Job.TrialHi, Trials: trials}, &ack)
+			TrialLo: lr.Job.TrialLo, TrialHi: lr.Job.TrialHi, Entry: entry}, &ack)
 		if !ack.Accepted {
 			t.Fatalf("shard %d push rejected: %s", i, ack.Reason)
 		}
@@ -721,24 +811,28 @@ func TestShardedWholeCellPushRequeued(t *testing.T) {
 	defer sess.Close()
 
 	var lr LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "old", Engine: campaign.EngineVersion}, &lr); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "old", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lr); status != http.StatusOK {
 		t.Fatalf("lease: status %d", status)
 	}
 	if lo, hi := lr.Job.ShardBounds(); lo != 0 || hi != 3 {
 		t.Fatalf("lease covers [%d,%d), want [0,3)", lo, hi)
 	}
-	whole, err := campaign.ExecuteCellJob(context.Background(), jobs[0])
+	wholeEntry, err := campaign.ExecuteCellJob(context.Background(), jobs[0])
 	if err != nil {
 		t.Fatalf("ExecuteCellJob whole cell: %v", err)
 	}
+	whole, err := campaign.DecodeCellEntry(wholeEntry, jobs[0].Cell, jobs[0].Trials)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ack ResultAck
-	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lr.LeaseID, Worker: "old", Key: lr.Job.Key, Trials: whole}, &ack)
+	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lr.LeaseID, Worker: "old", Key: lr.Job.Key, Entry: wholeEntry}, &ack)
 	if ack.Accepted || !strings.Contains(ack.Reason, "trial range mismatch") {
 		t.Fatalf("whole-cell push against a shard lease: ack %+v, want range-mismatch requeue", ack)
 	}
 
 	// The shard went back in the pool: re-lease and push with bounds.
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "new", Engine: campaign.EngineVersion}, &lr); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "new", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lr); status != http.StatusOK {
 		t.Fatalf("re-lease: status %d", status)
 	}
 	if lo, hi := lr.Job.ShardBounds(); lo != 0 || hi != 3 {
@@ -749,7 +843,7 @@ func TestShardedWholeCellPushRequeued(t *testing.T) {
 		t.Fatalf("ExecuteCellJob shard: %v", err)
 	}
 	postJSON(t, srv.URL+"/cluster/results", ResultPush{LeaseID: lr.LeaseID, Worker: "new", Key: lr.Job.Key,
-		TrialLo: lr.Job.TrialLo, TrialHi: lr.Job.TrialHi, Trials: part}, &ack)
+		TrialLo: lr.Job.TrialLo, TrialHi: lr.Job.TrialHi, Entry: part}, &ack)
 	if !ack.Accepted {
 		t.Fatalf("shard push rejected: %s", ack.Reason)
 	}
@@ -760,14 +854,9 @@ func TestShardedWholeCellPushRequeued(t *testing.T) {
 		t.Fatalf("deliveries = %+v, want exactly [0,3)", *got)
 	}
 	// Shard bytes ≡ the whole-cell run's bytes for the same trials.
-	for i, ms := range (*got)[0].trials {
-		if len(ms) != len(whole[i]) {
-			t.Fatalf("shard trial %d carries %d measurements, whole-cell %d", i, len(ms), len(whole[i]))
-		}
-		for j := range ms {
-			if ms[j] != whole[i][j] {
-				t.Fatalf("shard trial %d measurement %d = %+v, whole-cell %+v", i, j, ms[j], whole[i][j])
-			}
+	for i, m := range (*got)[0].trials {
+		if m != whole[i] {
+			t.Fatalf("shard trial %d = %+v, whole-cell %+v", i, m, whole[i])
 		}
 	}
 	if s := c.Stats(); s.Requeued != 1 || s.RemoteCells != 1 {

@@ -98,7 +98,7 @@ func TestWorkersEndpoint(t *testing.T) {
 	defer sess.Close()
 
 	var lease LeaseResponse
-	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Engine: campaign.EngineVersion}, &lease); status != http.StatusOK {
+	if status := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat}, &lease); status != http.StatusOK {
 		t.Fatalf("lease: status %d", status)
 	}
 
@@ -128,7 +128,7 @@ func TestWorkersEndpoint(t *testing.T) {
 		t.Fatalf("ExecuteCellJob: %v", err)
 	}
 	status := postJSON(t, srv.URL+"/cluster/results", ResultPush{
-		LeaseID: lease.LeaseID, Worker: "w1", Key: lease.Job.Key, Trials: res,
+		LeaseID: lease.LeaseID, Worker: "w1", Key: lease.Job.Key, Entry: res,
 	}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("push: status %d", status)

@@ -46,12 +46,13 @@ const maxTransportFailures = 5
 
 // RunWorker joins the coordinator at base (e.g. "http://host:8080") and
 // executes leased shards until ctx is done: lease, execute on the arena
-// pipeline, push the per-trial measurements keyed by the cell's content
+// pipeline, push the shard's cell entry keyed by the cell's content
 // address and trial range, repeat. A shard whose execution fails is
 // reported so the coordinator re-queues it — workers never push partial
 // shards, which is one half of the byte-identity argument (the other
-// half is the engine-version handshake, which makes a mismatched worker
-// exit with an error here). Returns nil on cancellation.
+// half is the engine-version and entry-format handshake, which makes a
+// mismatched worker exit with an error here). Returns nil on
+// cancellation.
 func RunWorker(ctx context.Context, base string, opts WorkerOptions) error {
 	base = strings.TrimRight(base, "/")
 	if !strings.Contains(base, "://") {
@@ -130,7 +131,7 @@ func RunWorker(ctx context.Context, base string, opts WorkerOptions) error {
 		job := lease.resp.Job
 		lo, hi := job.ShardBounds()
 		logf("cluster: worker %s executing %s (trials [%d:%d) of %d)", id, job.Cell, lo, hi, job.Trials)
-		trials, execErr := campaign.ExecuteCellJob(ctx, job)
+		entry, execErr := campaign.ExecuteCellJob(ctx, job)
 		if execErr != nil && ctx.Err() != nil {
 			// Cancelled mid-shard: stop without pushing; the lease expires
 			// and the shard is re-issued or stolen locally.
@@ -144,7 +145,7 @@ func RunWorker(ctx context.Context, base string, opts WorkerOptions) error {
 		if execErr != nil {
 			push.Error = execErr.Error()
 		} else {
-			push.Trials = trials
+			push.Entry = entry
 		}
 		ack, err := pushResult(ctx, client, base, push)
 		if err != nil {
@@ -175,7 +176,7 @@ type leaseResult struct {
 }
 
 func requestLease(ctx context.Context, client *http.Client, base, id string) (leaseResult, int, error) {
-	body, err := json.Marshal(LeaseRequest{Worker: id, Engine: campaign.EngineVersion})
+	body, err := json.Marshal(LeaseRequest{Worker: id, Engine: campaign.EngineVersion, EntryFormat: campaign.CellEntryFormat})
 	if err != nil {
 		return leaseResult{}, 0, err
 	}

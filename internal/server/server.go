@@ -23,7 +23,7 @@
 // the daemon runs becomes lease-able by remote workers:
 //
 //	POST /cluster/lease        worker engine handshake → one leased cell
-//	POST /cluster/results      per-trial measurements keyed by the cell's
+//	POST /cluster/results      a shard's cell entry keyed by the cell's
 //	                           content address
 //
 // Every result served is governed by the campaign determinism contract:

@@ -7,8 +7,8 @@
 //
 //	cells/      the cell byte store — the exact content-addressed layout
 //	            of internal/campaign/cache's Dir backend, holding each
-//	            grid cell's per-trial measurements under its content
-//	            address. Store.Cache() exposes it as the campaign cell
+//	            grid cell's entry (its per-trial round counts, see
+//	            campaign.DecodeCellEntry) under its content address. Store.Cache() exposes it as the campaign cell
 //	            cache, so a daemon running with -store caches INTO the
 //	            warehouse: one directory, one retention budget, and
 //	            ingested cells round-trip bit-identically because the
