@@ -10,7 +10,7 @@
 //
 // With -trials > 1 the run becomes a mini-campaign: a one-scenario
 // campaign spec over any registered family, whose trials execute on the
-// campaign worker pool (each with a deterministically pre-split source,
+// campaign worker pool (each with a deterministically derived source,
 // so the summary is identical for every -workers value), and a
 // count/mean/min/max/p50/p99 summary replaces the single-run trace.
 package main

@@ -1,7 +1,7 @@
 // Command campaign runs a sharded, multi-core experiment campaign: a
-// declarative adversary × n × k × trials grid compiled into jobs with
-// deterministically pre-split random sources and executed on a worker
-// pool. Output is bit-identical for a given spec and seed regardless of
+// declarative adversary × n × k × trials grid planned into cells whose
+// trials, each with a deterministically derived random source, execute
+// on a worker pool. Output is bit-identical for a given spec and seed regardless of
 // -workers, so campaign artifacts are machine-diffable across runs,
 // machines, and PRs.
 //

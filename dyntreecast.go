@@ -428,8 +428,8 @@ func NewClusterCoordinator() *ClusterCoordinator { return cluster.New(cluster.Op
 // NewShardedClusterCoordinator returns a coordinator that leases each
 // grid cell in shards of at most shardTrials trials, so a grid dominated
 // by one big cell still spreads across the fleet. Because every trial's
-// random stream is pre-split from the cell's content address, sharding
-// never changes artifact bytes — any shardTrials value (including 0,
+// random stream derives from the cell's content address and the trial's
+// index, sharding never changes artifact bytes — any shardTrials value (including 0,
 // whole cells) produces the identical outcome. See DESIGN.md §3g.
 func NewShardedClusterCoordinator(shardTrials int) *ClusterCoordinator {
 	return cluster.New(cluster.Options{ShardTrials: shardTrials})
@@ -457,9 +457,8 @@ func RunClusterWorker(ctx context.Context, url string) error {
 	return cluster.RunWorker(ctx, url, cluster.WorkerOptions{})
 }
 
-// RunCampaign compiles spec into per-trial jobs with deterministically
-// pre-split random sources and executes them on a worker pool (workers
-// <= 0 selects GOMAXPROCS). The outcome is bit-identical for any worker
+// RunCampaign plans spec into grid cells and executes their trials, by
+// index, on a worker pool (workers <= 0 selects GOMAXPROCS). The outcome is bit-identical for any worker
 // count — and, because each grid cell's random streams are derived from
 // the seed and the cell's own coordinates alone, identical cells of
 // different campaigns agree too, which is what makes the cell cache

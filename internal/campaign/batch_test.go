@@ -94,36 +94,24 @@ func TestBatchedKillAndResumeByteIdentity(t *testing.T) {
 
 // TestSliceBatches pins the scheduling-unit construction under the
 // derived cap ⌈pending/workers⌉: whole cells when cells cover the pool,
-// an even split of one big cell otherwise, singletons for cell-less jobs.
+// an even split of one big cell otherwise, none for a cell with no
+// pending trials (a cached one), singletons for one-trial cells.
 func TestSliceBatches(t *testing.T) {
-	mk := func(cells ...string) []Job {
-		jobs := make([]Job, len(cells))
-		for i, c := range cells {
-			jobs[i] = Job{Index: i, Cell: c}
-		}
-		return jobs
-	}
-	cell := func(name string, trials int) []string {
-		out := make([]string, trials)
-		for i := range out {
-			out[i] = name
-		}
-		return out
-	}
-	fourCells := append(append(append(cell("a", 25), cell("b", 25)...), cell("c", 25)...), cell("d", 25)...)
 	cases := []struct {
 		name    string
-		jobs    []Job
+		sizes   []int
 		workers int
 		want    []batch
 	}{
-		{"one cell over 4 workers", mk(cell("a", 10)...), 4, []batch{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-		{"4 cells on 1 worker", mk(fourCells...), 1, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
-		{"4 cells on 4 workers", mk(fourCells...), 4, []batch{{0, 25}, {25, 50}, {50, 75}, {75, 100}}},
-		{"interleaved", mk("a", "b", "a"), 1, []batch{{0, 1}, {1, 2}, {2, 3}}},
+		{"one cell over 4 workers", []int{10}, 4, []batch{{0, 0, 3}, {0, 3, 6}, {0, 6, 9}, {0, 9, 10}}},
+		{"4 cells on 1 worker", []int{25, 25, 25, 25}, 1, []batch{{0, 0, 25}, {1, 0, 25}, {2, 0, 25}, {3, 0, 25}}},
+		{"4 cells on 4 workers", []int{25, 25, 25, 25}, 4, []batch{{0, 0, 25}, {1, 0, 25}, {2, 0, 25}, {3, 0, 25}}},
+		{"cached cell skipped", []int{25, 0, 25}, 2, []batch{{0, 0, 25}, {2, 0, 25}}},
+		{"interleaved", []int{1, 1, 1}, 1, []batch{{0, 0, 1}, {1, 0, 1}, {2, 0, 1}}},
+		{"nothing pending", []int{0, 0}, 3, nil},
 	}
 	for _, tc := range cases {
-		got := sliceBatches(tc.jobs, len(tc.jobs), tc.workers)
+		got := sliceBatches(tc.sizes, tc.workers)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 			continue

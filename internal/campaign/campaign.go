@@ -1,15 +1,16 @@
-// Package campaign is the parallel experiment orchestrator: it compiles a
-// declarative sweep specification (scenarios × n × trials × goal) into a
-// flat list of jobs with deterministically pre-split random sources, and
-// executes them on a context-cancellable worker pool sized to GOMAXPROCS.
+// Package campaign is the parallel experiment orchestrator: it plans a
+// declarative sweep specification (scenarios × n × trials × goal) into
+// grid cells and runs each cell's trials, by index, on a
+// context-cancellable worker pool sized to GOMAXPROCS.
 //
-// Jobs are scheduled as cell batches (DESIGN.md §3d): consecutive trials
-// of one grid cell run sequentially on one worker, against the worker's
-// Arena — a pooled core.Runner plus a per-cell reusable adversary — so
-// the steady-state trial loop allocates nothing. Run caps a batch at
-// ⌈pending jobs / workers⌉: grids with at least as many cells as workers
-// run whole cells, and a single big cell is split evenly across the pool.
-// The split never changes an output byte.
+// A cell is the unit of work and a trial is an index (DESIGN.md §3d).
+// The cell executor runs a trial range [lo, hi) of one cell on a
+// worker's Arena — a pooled core.Runner, the cell's reusable adversary
+// and one reseeded random source — and writes one uint32 round count per
+// trial, so the steady-state trial loop allocates nothing. RunSpec caps
+// a batch at ⌈pending trials / workers⌉: grids with at least as many
+// cells as workers run whole cells, and a single big cell is split
+// evenly across the pool. The split never changes an output byte.
 //
 // Scenarios name adversary families from an open registry (scenario.go,
 // DESIGN.md §3c): each family self-describes its parameters — names,
@@ -23,16 +24,17 @@
 // of the worker count and of goroutine scheduling. Two mechanisms enforce
 // it:
 //
-//   - Every job owns a private rng.Source, pre-split at compile time.
-//     Spec.Compile derives each grid cell's streams content-addressed —
-//     from a hash of the campaign seed and the cell's own coordinates —
-//     and splits per-trial sources serially in trial order, so a cell's
-//     results do not even depend on what else the grid contains. Workers
-//     never share a generator, so execution order cannot perturb any
-//     stream.
-//   - Results land in a slice indexed by job index (disjoint writes, no
-//     locks), and aggregation walks that slice in index order. Scheduling
-//     can reorder execution but never observation.
+//   - A trial's random stream is a function of its cell and its index
+//     alone. Each cell's root source is seeded from a hash of the
+//     campaign seed and the cell's own coordinates, and trial i draws
+//     from New(the root's i-th output) — the stream Split would hand the
+//     i-th trial — derived lazily by the executor. A cell's results thus
+//     depend neither on what else the grid contains nor on the worker,
+//     batch or shard that ran a trial.
+//   - Round counts land in one slice per cell, indexed by trial (disjoint
+//     writes, no locks), and aggregation walks the cells in plan order
+//     and each cell's trials in index order. Scheduling can reorder
+//     execution but never observation.
 //
 // On top of the runner sits the campaign service layer (DESIGN.md §3b):
 // the content-addressed cell cache (Config.Cache, backed by the cache
@@ -47,8 +49,12 @@
 // and cmd/broadcast-sim build scenario specs, the cmd/campaign binary
 // drives RunSpec from a JSON spec or flags, cmd/campaignd serves
 // campaigns over HTTP via internal/server, and the root dyntreecast
-// package re-exports Spec/RunSpec as Campaign/RunCampaign. Run executes
-// compiled jobs; ExecuteCellJob runs a leased shard on it.
+// package re-exports Spec/RunSpec as Campaign/RunCampaign. Local
+// batches, cluster shards (ExecuteCellJob) and cache loads all fill the
+// same per-cell round counts over trial ranges. Spec.Compile, Run, Job,
+// JobResult, Measurement and Aggregate remain as a job-per-trial adapter
+// over the same pool and summarizer, for callers that trace single
+// trials.
 package campaign
 
 import (
@@ -62,33 +68,36 @@ import (
 	"dyntreecast/internal/rng"
 )
 
-// Measurement is one named scalar produced by a job. Every trial of a
-// spec emits exactly one: its round count, labeled with its cell. Cell
-// entries (DecodeCellEntry) store only the counts, with the label once in
-// the entry's header, so a trial that is not exactly one integer
-// measurement of its cell cannot be cached or pushed.
+// Measurement is one named scalar produced by a job.
+//
+// Deprecated: part of the job-per-trial adapter (see Run). RunSpec
+// records one uint32 round count per trial instead.
 type Measurement struct {
 	Cell  string  `json:"cell"`  // aggregation key; jobs sharing a cell are pooled
 	Value float64 `json:"value"` // the observed quantity (usually a round count)
 }
 
-// Job is one unit of work: typically a single simulated run of one grid
-// point. Jobs are created in a deterministic compile order and each owns a
-// pre-split random source, so any worker may execute any job without
-// affecting results.
+// Job is one compiled trial: it owns the source Split hands its trial,
+// and Run executes it on a worker's Arena.
 //
-// The pool schedules jobs in cell batches: consecutive jobs sharing a
-// Cell run sequentially on one worker, whose Arena — a pooled
-// core.Runner plus a per-cell reusable adversary — they share. Because
-// every job still owns its pre-split source and results are observed in
-// index order, batching is invisible in the output: artifacts are
-// byte-identical for every worker count.
+// Deprecated: part of the job-per-trial adapter (see Run). RunSpec plans
+// cells and derives trial sources by index without building jobs.
 type Job struct {
 	Index int         // position in compile order; doubles as the result slot
 	Cell  string      // aggregation cell (set by Spec.Compile)
 	Src   *rng.Source // private generator, pre-split at compile time
 	// Run executes the job from src on the worker's Arena.
 	Run func(ctx context.Context, src *rng.Source, a *Arena) ([]Measurement, error)
+}
+
+// JobResult reports one executed (or skipped) job.
+//
+// Deprecated: part of the job-per-trial adapter (see Run).
+type JobResult struct {
+	Index        int
+	Measurements []Measurement
+	Err          error
+	Skipped      bool // true when cancellation prevented the job from running
 }
 
 // ReusableAdversary is the adversary contract of the campaign pipeline:
@@ -107,14 +116,22 @@ type ReusableAdversary interface {
 
 // Arena is the reusable execution state one worker owns for its whole
 // lifetime: a pooled core.Runner (engine + per-run scratch, Reset per
-// trial instead of reallocated) and the current cell's reusable
-// adversary. Job closures receive it through Run.
+// trial instead of reallocated), the current cell's reusable adversary,
+// the cell executor's sources, and a scratch buffer for shards that land
+// only if they win their race.
 type Arena struct {
 	// Runner is the worker's pooled trial driver.
 	Runner *core.Runner
 
 	cell string
 	adv  ReusableAdversary
+	src  rng.Source // the current trial's source, reseeded per trial
+	// root is rootOf's root source, advanced past its first next trials,
+	// so a worker's later ranges of a cell resume from it.
+	root   rng.Source
+	rootOf *cellPlan
+	next   int
+	buf    []uint32
 }
 
 // NewArena returns a fresh arena with an empty pooled runner.
@@ -136,29 +153,30 @@ func (a *Arena) AdversaryFor(cell string, src *rng.Source, build func() (Reusabl
 	return a.adv, nil
 }
 
-// JobResult reports one executed (or skipped) job.
-type JobResult struct {
-	Index        int
-	Measurements []Measurement
-	Err          error
-	Skipped      bool // true when cancellation prevented the job from running
+// TrialResult reports one freshly executed trial to Config.OnResult.
+type TrialResult struct {
+	Index  int    // the trial's job index: its position over the planned cells
+	Cell   string // the trial's cell
+	Rounds int    // its round count; 0 when Err is set
+	Err    error
 }
 
 // Config tunes a Run.
 type Config struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is called after every completed job with the
-	// number of jobs finished so far and the total. Calls are serialized
-	// and done is nondecreasing. Jobs served from the cell cache count
-	// toward the initial done value but trigger no call.
+	// Progress, when non-nil, is called after every completed trial with
+	// the number of trials finished so far and the total. Calls are
+	// serialized and done is nondecreasing. Trials served from the cell
+	// cache count toward the initial done value but trigger no call.
 	Progress func(done, total int)
-	// OnResult, when non-nil, is called with every result produced by the
-	// pool, in completion order (not job-index order). Calls are
-	// serialized with each other and with Progress. Results served from
+	// OnResult, when non-nil, is called with every trial RunSpec
+	// executes, in completion order (not index order); a cell a grid
+	// lists twice reports each trial once per listing. Calls are
+	// serialized with each other and with Progress. Trials served from
 	// the cache are not replayed — OnResult observes only fresh work,
-	// which is exactly what streaming needs.
-	OnResult func(JobResult)
+	// which is exactly what streaming needs. Ignored by Run.
+	OnResult func(TrialResult)
 	// Cache, when non-nil, is the content-addressed cell store consulted
 	// by RunSpec: a cell whose key (spec seed, adversary, n, k, goal,
 	// round budget, trial count, engine version) is present is not
@@ -172,7 +190,7 @@ type Config struct {
 	// executors (internal/cluster's Coordinator over HTTP) while the
 	// local pool keeps working: local workers claim unleased cells,
 	// leased cells that time out are re-issued or stolen locally, and
-	// results merge into the same job-indexed slice either way — so
+	// results merge into the same per-cell round counts either way — so
 	// remote workers (including ones that die, stall, or speak the wrong
 	// engine version) can never change artifact bytes, only wall-clock
 	// time; see internal/cluster's trust note. The cell cache composes
@@ -181,145 +199,123 @@ type Config struct {
 	Remote Remote
 }
 
-// Run executes compiled jobs on a worker pool and returns one JobResult
-// per job, in job-index order. Job-level errors are recorded in the
-// results; the returned error is non-nil only when ctx was cancelled, in
-// which case the results for jobs that did complete are still returned
-// and the rest are marked Skipped.
-func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
-	results := newResults(len(jobs))
-	return results, runLocal(ctx, jobs, results, cfg, nil)
-}
-
-// newResults returns the slice every execution path fills: one Skipped
-// placeholder per job. RunSpec overwrites the jobs of cached cells
-// before execution; every job still Skipped is pending work.
-func newResults(n int) []JobResult {
-	results := make([]JobResult, n)
-	for i := range results {
-		results[i] = JobResult{Index: i, Skipped: true}
+// workers returns the configured pool size.
+func (cfg *Config) workers() int {
+	if cfg.Workers > 0 {
+		return cfg.Workers
 	}
-	return results
+	return runtime.GOMAXPROCS(0)
 }
 
-// runLocal executes the pending (Skipped) jobs of results on the local
-// pool, in cell batches. Jobs already filled in — cached cells, which
-// always cover whole cells and hence whole batches — count as done from
-// the start and are not executed. landed, when non-nil, is called by the
-// worker that finished each batch [lo, hi), outside every lock; a batch
-// cut short by cancellation is not reported.
-func runLocal(ctx context.Context, jobs []Job, results []JobResult, cfg Config, landed func(lo, hi int)) error {
-	pending := 0
-	for _, r := range results {
-		if r.Skipped {
-			pending++
+// batch is one scheduling unit: trials [lo, hi) of the cell-th cell.
+type batch struct{ cell, lo, hi int }
+
+// sliceBatches cuts cells of the given trial counts into scheduling
+// units of at most ⌈total/workers⌉ trials, so the pending work spreads
+// over the whole pool (with as many equal cells as workers, every unit
+// is a whole cell). A cell of 0 trials gets none.
+func sliceBatches(sizes []int, workers int) []batch {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	size := max((total+workers-1)/workers, 1)
+	var batches []batch
+	for c, n := range sizes {
+		for lo := 0; lo < n; lo += size {
+			batches = append(batches, batch{c, lo, min(lo+size, n)})
 		}
 	}
-	if pending == 0 {
-		return cancelled(ctx, results)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	batches := sliceBatches(jobs, pending, workers)
-	if workers > len(batches) {
-		workers = len(batches)
-	}
+	return batches
+}
 
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex // serializes the progress + result callbacks
-		done    = len(jobs) - pending
-		batchCh = make(chan batch)
-	)
-	for w := 0; w < workers; w++ {
+// runPool is the one worker pool: workers goroutines, each owning an
+// Arena for its lifetime, execute claimed batches until claim reports
+// none is left. RunSpec's local and remote-backed paths and the Run
+// adapter all run on it.
+func runPool(workers int, claim func() (batch, bool), exec func(batch, *Arena)) {
+	var wg sync.WaitGroup
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := NewArena()
-			for b := range batchCh {
-				// Every batch starts from the default round budget; a
-				// closure that wants a specific budget sets it per trial,
-				// and one that doesn't can never inherit a previous
-				// batch's.
-				arena.Runner.MaxRounds = 0
-				for idx := b.lo; idx < b.hi; idx++ {
-					if ctx.Err() != nil {
-						// Drain without running so the feeder never blocks.
-						break
-					}
-					ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
-					results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
-					countJob(err)
-					if cfg.Progress != nil || cfg.OnResult != nil {
-						mu.Lock()
-						if cfg.OnResult != nil {
-							cfg.OnResult(results[idx])
-						}
-						done++
-						if cfg.Progress != nil {
-							cfg.Progress(done, len(jobs))
-						}
-						mu.Unlock()
-					}
-				}
-				if landed != nil && !results[b.hi-1].Skipped {
-					landed(b.lo, b.hi)
-				}
+			a := NewArena()
+			for b, ok := claim(); ok; b, ok = claim() {
+				exec(b, a)
 			}
 		}()
 	}
-feed:
-	for _, b := range batches {
-		if !results[b.lo].Skipped {
-			continue // a cached cell; nothing to execute
-		}
-		mBatchTrials.Observe(float64(b.hi - b.lo))
-		select {
-		case batchCh <- b:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(batchCh)
 	wg.Wait()
-	return cancelled(ctx, results)
 }
 
-// cancelled finishes a cancelled execution: every job still Skipped gets
-// the context's error, and the run's error wraps it. It returns nil when
-// ctx is live.
-func cancelled(ctx context.Context, results []JobResult) error {
+// claimInOrder returns a claim function that hands out batches in order
+// until they run out or ctx is done.
+func claimInOrder(ctx context.Context, batches []batch) func() (batch, bool) {
+	var mu sync.Mutex
+	return func() (batch, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(batches) == 0 || ctx.Err() != nil {
+			return batch{}, false
+		}
+		b := batches[0]
+		batches = batches[1:]
+		mBatchTrials.Observe(float64(b.hi - b.lo))
+		return b, true
+	}
+}
+
+// Run executes compiled jobs on the worker pool RunSpec uses and returns
+// one JobResult per job, in job-index order. Each maximal run of
+// consecutive jobs sharing a Cell is scheduled like a cell, and every
+// batch starts from the default round budget. Job-level errors are
+// recorded in the results; the returned error is non-nil only when ctx
+// was cancelled, in which case the results for jobs that did complete are
+// still returned and the rest are marked Skipped. Only Workers and
+// Progress of cfg apply.
+//
+// Deprecated: Run, Spec.Compile, Job, JobResult, Measurement and
+// Aggregate are a job-per-trial adapter kept for callers that trace
+// single trials; RunSpec runs cells by trial index without them.
+func Run(ctx context.Context, jobs []Job, cfg Config) ([]JobResult, error) {
+	results := make([]JobResult, len(jobs))
+	for i := range results {
+		results[i] = JobResult{Index: i, Skipped: true}
+	}
+	var starts, sizes []int
+	for lo, hi := 0, 0; lo < len(jobs); lo = hi {
+		for hi = lo + 1; hi < len(jobs) && jobs[hi].Cell == jobs[lo].Cell; hi++ {
+		}
+		starts, sizes = append(starts, lo), append(sizes, hi-lo)
+	}
+	workers := cfg.workers()
+	batches := sliceBatches(sizes, workers)
+	var (
+		mu   sync.Mutex // serializes Progress
+		done int
+	)
+	runPool(min(workers, len(batches)), claimInOrder(ctx, batches), func(b batch, a *Arena) {
+		a.Runner.MaxRounds = 0
+		for idx := starts[b.cell] + b.lo; idx < starts[b.cell]+b.hi && ctx.Err() == nil; idx++ {
+			ms, err := jobs[idx].Run(ctx, jobs[idx].Src, a)
+			results[idx] = JobResult{Index: idx, Measurements: ms, Err: err}
+			countTrial(err)
+			if cfg.Progress != nil {
+				mu.Lock()
+				done++
+				cfg.Progress(done, len(jobs))
+				mu.Unlock()
+			}
+		}
+	})
 	err := ctx.Err()
 	if err == nil {
-		return nil
+		return results, nil
 	}
 	for i := range results {
 		if results[i].Skipped {
 			results[i].Err = err
 		}
 	}
-	return fmt.Errorf("campaign: cancelled: %w", err)
-}
-
-// batch is one scheduling unit: the half-open job-index range [lo, hi).
-type batch struct{ lo, hi int }
-
-// sliceBatches partitions the job list into scheduling units: maximal
-// runs of consecutive jobs sharing a Cell, capped at ⌈pending/workers⌉
-// jobs so the pending work spreads over the whole pool (with as many
-// equal cells as workers, every unit is a whole cell).
-func sliceBatches(jobs []Job, pending, workers int) []batch {
-	size := (pending + workers - 1) / workers // 0 (uncapped) when nothing is pending
-	batches := make([]batch, 0, len(jobs))
-	for lo := 0; lo < len(jobs); {
-		hi := lo + 1
-		for hi < len(jobs) && jobs[hi].Cell == jobs[lo].Cell && (size <= 0 || hi-lo < size) {
-			hi++
-		}
-		batches = append(batches, batch{lo, hi})
-		lo = hi
-	}
-	return batches
+	return results, fmt.Errorf("campaign: cancelled: %w", err)
 }

@@ -137,6 +137,12 @@ func TestSpecValidate(t *testing.T) {
 			s.Scenarios = []Scenario{{Adversary: "k-leaves", Params: map[string]any{"k": []int{2, 0}}}}
 		}, "k must be"},
 		{"bad trials", func(s *Spec) { s.Trials = 0 }, "trials must be"},
+		{"grid trials overflow int", func(s *Spec) {
+			s.Scenarios, s.Ns, s.Trials = named("random-tree"), []int{8, 9, 10, 11}, 1<<62
+		}, "trials one campaign can index"},
+		{"grid trials beyond the index bound", func(s *Spec) {
+			s.Scenarios, s.Ns, s.Trials = named("random-tree"), []int{8, 9}, 1<<30
+		}, "trials one campaign can index"},
 		{"bad goal", func(s *Spec) { s.Goal = "multicast" }, "unknown goal"},
 		{"bad max rounds", func(s *Spec) { s.MaxRounds = -1 }, "max_rounds"},
 	}
@@ -151,6 +157,11 @@ func TestSpecValidate(t *testing.T) {
 	good := base
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+	// The largest grid the bound admits still plans, to the last index.
+	edge := Spec{Scenarios: named("random-tree"), Ns: []int{8}, Trials: maxGridTrials, Seed: 1}
+	if cells, err := edge.CellJobs(); err != nil || cells[0].Trials != maxGridTrials {
+		t.Errorf("grid of %d trials: %v, %v", maxGridTrials, cells, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"unsafe"
 )
 
 // FuzzSpecJSON fuzzes the spec decode → canonicalize → re-encode cycle,
@@ -27,6 +26,7 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"scenarios":[{"adversary":"nope"}],"ns":[8],"trials":1,"seed":1}`))
 	f.Add([]byte(`{"ns":[0],"trials":-1}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"scenarios":[{"adversary":"random-tree"}],"ns":[8,9,10,11],"trials":4611686018427387904,"seed":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := LoadSpec(bytes.NewReader(data))
@@ -98,7 +98,7 @@ func retiredSchema(data []byte) bool {
 // panics; whatever decodes re-encodes to exactly the input bytes (one
 // encoding per entry, so the cache and the warehouse never hold two
 // spellings of a cell); and the decoder allocates no more than the input
-// can justify — at most one measurement per input byte, plus an error
+// can justify — at most one round count per input byte, plus an error
 // message — whatever trial count the header claims. The seeds are the
 // committed corpus: valid entries (one of an empty cell name), torn,
 // trailing, foreign, mis-counted and non-minimal ones, a count beyond the
@@ -106,11 +106,11 @@ func retiredSchema(data []byte) bool {
 func FuzzCellEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cell string, trials int) {
 		var (
-			ms  []Measurement
-			err error
+			rounds []uint32
+			err    error
 		)
-		decode := func() { ms, err = DecodeCellEntry(data, cell, trials) }
-		limit := uint64(unsafe.Sizeof(Measurement{}))*uint64(len(data)) + 8*uint64(len(data)+len(cell)) + 1024
+		decode := func() { rounds, err = DecodeCellEntry(data, cell, trials) }
+		limit := 4*uint64(len(data)) + 8*uint64(len(data)+len(cell)) + 1024
 		grew := allocatedBytes(decode)
 		for retry := 0; grew > limit && retry < 2; retry++ {
 			// The fuzzing process allocates on other goroutines too; a
@@ -123,16 +123,10 @@ func FuzzCellEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(ms) != trials {
-			t.Fatalf("decoded %d trials, want %d", len(ms), trials)
+		if len(rounds) != trials {
+			t.Fatalf("decoded %d trials, want %d", len(rounds), trials)
 		}
-		again := appendEntryHeader(nil, cell, len(ms))
-		for i := range ms {
-			if again, err = appendEntryTrial(again, cell, ms[i:i+1]); err != nil {
-				t.Fatalf("decoded trial %d does not re-encode: %v", i, err)
-			}
-		}
-		if !bytes.Equal(again, data) {
+		if again := appendCellEntry(nil, cell, rounds); !bytes.Equal(again, data) {
 			t.Fatalf("entry re-encodes differently:\n  in %x\n out %x", data, again)
 		}
 	})

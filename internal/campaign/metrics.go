@@ -3,7 +3,7 @@ package campaign
 import "dyntreecast/internal/metrics"
 
 // Campaign-layer instruments (DESIGN.md §3f). All counting happens off
-// the trial hot path: jobs are counted once per job (one atomic add,
+// the trial hot path: trials are counted once each (one atomic add,
 // after the trial already ran), batch sizes once per scheduling unit, and
 // nothing here touches a result — artifacts are byte-identical with
 // metrics live or a scraper attached, which is the observability corollary
@@ -25,10 +25,10 @@ var (
 		metrics.ExpBuckets(1, 2, 12))
 )
 
-// countJob tallies one fresh job result into the campaign counters.
-// Called with the pool's callback mutex NOT required — counters are
-// atomics — but always after execution, never on the trial loop itself.
-func countJob(err error) {
+// countTrial tallies one freshly executed trial into the campaign
+// counters. Counters are atomics, so no lock is needed; it is called
+// after each trial ran, never inside its round loop.
+func countTrial(err error) {
 	if err != nil {
 		mJobsFailed.Inc()
 	} else {

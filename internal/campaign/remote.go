@@ -3,25 +3,22 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-
-	"dyntreecast/internal/rng"
+	"slices"
 )
 
 // This file is the campaign side of the distributed campaign fabric
-// (DESIGN.md §3e): RunSpec can shard a compiled spec's grid cells to
+// (DESIGN.md §3e): RunSpec can shard a planned spec's grid cells to
 // remote workers through a Remote scheduler while its own local pool
-// keeps executing, and merge whatever comes back into the same
-// job-indexed result slice the purely local path fills.
+// keeps executing, and merge whatever comes back into the same per-cell
+// round counts the purely local path fills.
 //
 // The unit of distribution is a shard: a contiguous sub-range of one
 // cell's trials (the whole cell being the degenerate single shard). PR 2
 // made every cell a pure function of (engine version, seed, goal, round
 // budget, scenario, n, trials) — its random streams are derived from the
-// cell's own content address, never from grid position, and split
-// per-trial in trial order — so any trial sub-range can be executed
-// anywhere and its per-trial measurements merged byte-identically. A
+// cell's own content address, never from grid position, and trial i's
+// stream depends on i alone — so any trial sub-range can be executed
+// anywhere and its round counts merged byte-identically. A
 // CellJob carries a self-contained single-cell Spec plus an optional
 // trial sub-range; executing it on any machine running the same engine
 // version reproduces the coordinator's bytes for exactly those trials,
@@ -33,10 +30,10 @@ import (
 // [TrialLo, TrialHi) to execute. Both bounds zero is the whole-cell
 // encoding (TrialLo=0, TrialHi=Trials), which keeps the wire format and
 // behavior of pre-sharding schedulers and workers unchanged. Executing
-// the job anywhere (ExecuteCellJob) yields the range's per-trial
-// measurements, byte-identical to a local run — each trial owns a
-// pre-split stream derived from the content address, not from where the
-// cell sits in any grid or how its trials are sharded.
+// the job anywhere (ExecuteCellJob) yields the range's round counts,
+// byte-identical to a local run — each trial's stream is derived from
+// the content address and the trial's index, not from where the cell
+// sits in any grid or how its trials are sharded.
 type CellJob struct {
 	Cell    string `json:"cell"`   // display key ("random-tree/n=64")
 	Key     string `json:"key"`    // content address (cell cache key)
@@ -65,12 +62,12 @@ type Remote interface {
 	// Open registers a campaign's pending cells (whole, TrialLo/TrialHi
 	// unset — sharding is the scheduler's choice). deliver is invoked at
 	// most once per (key, lo, hi) shard — serialized per shard, possibly
-	// concurrently across shards — with the shard's measurements in
+	// concurrently across shards — with the shard's round counts in
 	// trial order (exactly hi-lo of them, one for each of the cell's
 	// trials lo..hi-1) when the remote side completes it. Shards
 	// the local pool claims and completes (ClaimLocal + CompleteLocal)
 	// are never delivered.
-	Open(jobs []CellJob, deliver func(key string, lo, hi int, trials []Measurement)) RemoteSession
+	Open(jobs []CellJob, deliver func(key string, lo, hi int, rounds []uint32)) RemoteSession
 }
 
 // RemoteSession coordinates one campaign's shards between the local pool
@@ -95,11 +92,10 @@ type RemoteSession interface {
 }
 
 // CellJobs returns the spec's feasible grid cells as self-contained
-// remote work units, in compile order. This is the distribution-side view
-// of Compile: each job's single-cell Spec compiles (anywhere) to the
-// cell's exact trial streams, and Key is the same content address the
-// cell cache uses. It plans the grid without building a job per trial,
-// so its cost is O(cells) whatever the trial count.
+// remote work units, in plan order: each job's single-cell Spec plans
+// (anywhere) to the cell's exact trial streams, and Key is the same
+// content address the cell cache uses. Its cost is O(cells) whatever the
+// trial count.
 func (s *Spec) CellJobs() ([]CellJob, error) {
 	cells, canon, err := s.plan()
 	if err != nil {
@@ -107,16 +103,16 @@ func (s *Spec) CellJobs() ([]CellJob, error) {
 	}
 	out := make([]CellJob, len(cells))
 	for i, c := range cells {
-		out[i] = cellJob(canon, c)
+		out[i] = cellJob(canon, &c)
 	}
 	return out, nil
 }
 
-// cellJob builds the self-contained work unit of one compiled cell: a
+// cellJob builds the self-contained work unit of one planned cell: a
 // canonical spec with exactly the cell's scenario and n. Its cell
 // identity — and therefore its streams and content address — matches the
 // originating grid's, because identities never depend on grid position.
-func cellJob(canon Spec, c cellPlan) CellJob {
+func cellJob(canon Spec, c *cellPlan) CellJob {
 	return CellJob{
 		Cell:   c.Cell,
 		Key:    c.Key,
@@ -138,24 +134,21 @@ func cellJob(canon Spec, c cellPlan) CellJob {
 // ShardBounds' lo..hi-1 — the worker side of the cluster protocol, which
 // pushes the entry as is. The job's spec is planned locally and checked
 // against the job's content address (the handshake that catches engine
-// drift beyond the version string); the shard's trials then run on one
-// arena, each encoded as it finishes. Trial i's source is the one compile
-// splits off the cell's root — New of the root's i-th output — so the
-// root is advanced past the trials before lo instead of splitting a
-// source for every trial of the cell, and trial lo sees exactly the
-// stream it would in a whole-cell run. Any trial error fails the whole
-// shard, because partial shards are never pushed — the coordinator
-// re-queues failed leases and the deterministic error surfaces through
-// the local pool instead.
+// drift beyond the version string); the cell executor then runs the
+// shard's trials on one arena, trial lo seeing exactly the stream it
+// would in a whole-cell run. Any trial error fails the whole shard,
+// because partial shards are never pushed — the coordinator re-queues
+// failed leases and the deterministic error surfaces through the local
+// pool instead.
 func ExecuteCellJob(ctx context.Context, job CellJob) ([]byte, error) {
 	cells, canon, err := job.Spec.plan()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: cell %s: %w", job.Cell, err)
 	}
 	if len(cells) != 1 {
-		return nil, fmt.Errorf("campaign: cell %s: spec compiles to %d cells, want exactly 1", job.Cell, len(cells))
+		return nil, fmt.Errorf("campaign: cell %s: spec plans to %d cells, want exactly 1", job.Cell, len(cells))
 	}
-	c := cells[0]
+	c := &cells[0]
 	if c.Key != job.Key {
 		return nil, fmt.Errorf("campaign: cell %s: content address mismatch (lease %.12s, computed %.12s)",
 			job.Cell, job.Key, c.Key)
@@ -166,185 +159,135 @@ func ExecuteCellJob(ctx context.Context, job CellJob) ([]byte, error) {
 			job.Cell, lo, hi, canon.Trials)
 	}
 	mBatchTrials.Observe(float64(hi - lo))
-	root := rng.New(canon.cellSeed(c.ground, c.N))
-	for range lo {
-		root.Uint64()
-	}
-	run := runCell(c.ground, c.N, c.Cell, canon.goal(), canon.MaxRounds)
-	arena := NewArena()
-	entry := appendEntryHeader(nil, job.Cell, hi-lo)
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("campaign: cancelled: %w", err)
-		}
-		ms, err := run(ctx, root.Split(), arena)
-		countJob(err)
-		if err == nil {
-			entry, err = appendEntryTrial(entry, job.Cell, ms)
-		}
+	rounds := make([]uint32, hi-lo)
+	var trialErr error
+	ran := c.execute(ctx, lo, hi, NewArena(), rounds, func(i int, err error) bool {
+		countTrial(err)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: cell %s trial %d: %w", job.Cell, i, err)
+			trialErr = fmt.Errorf("campaign: cell %s trial %d: %w", job.Cell, i, err)
 		}
+		return err == nil
+	})
+	switch {
+	case trialErr != nil:
+		return nil, trialErr
+	case ran < hi-lo:
+		return nil, fmt.Errorf("campaign: cancelled: %w", ctx.Err())
 	}
-	return entry, nil
+	return appendCellEntry(nil, job.Cell, rounds), nil
 }
 
-// runRemote is RunSpec's execution path when Config.Remote is set: cells
-// not already served from the cache (their jobs still Skipped in results)
-// are offered to the remote scheduler while cfg.Workers local workers
-// claim and execute the rest, shard by shard, on pooled arenas. Results
-// land in the job-indexed slice whichever side computes them, so the
-// aggregated outcome is byte-identical to a purely local run — remote
-// workers (and their failures) can only move wall-clock time, and so can
-// the shard size, because every trial's stream was pre-split at compile
-// time. landed, when non-nil, is told each job range whose results were
-// spliced.
-func runRemote(ctx context.Context, jobs []Job, cells []cellPlan, canon Spec, results []JobResult, cfg Config, landed func(lo, hi int)) error {
-	// The distributable work is grouped by content address: a grid that
-	// lists the same cell twice (ns: [8, 8]) compiles to two plans with
-	// one address and identical streams, so one execution — local or
-	// remote — must splice into every plan sharing the key, and the
-	// scheduler must see the key exactly once. Cache coverage is
-	// all-or-nothing per address, so a plan is either wholly pending or
-	// wholly served.
-	work := make(map[string][]cellPlan, len(cells))
+// runRemote is RunSpec's execution path when Config.Remote is set: runs
+// not already served from the cache are offered to the remote scheduler
+// while cfg.Workers local workers claim and execute the rest, shard by
+// shard, on the same pool. A shard's round counts land in its run
+// whichever side computes them, so the aggregated outcome is
+// byte-identical to a purely local run — remote workers (and their
+// failures) can only move wall-clock time, and so can the shard size,
+// because a trial's stream depends only on its index.
+func (e *execution) runRemote(ctx context.Context) {
+	// The scheduler sees each content address once: a grid that lists
+	// the same cell twice (ns: [8, 8]) has one run for both, and cache
+	// coverage is all-or-nothing per run.
+	work := make(map[string]int, len(e.runs))
 	var cellJobs []CellJob
-	done := len(jobs)
-	for _, c := range cells {
-		if !results[c.Lo].Skipped {
-			continue
+	for i := range e.runs {
+		if r := &e.runs[i]; r.left > 0 {
+			work[r.plan.Key] = i
+			cellJobs = append(cellJobs, cellJob(e.canon, r.plan))
 		}
-		done -= c.Hi - c.Lo
-		if _, ok := work[c.Key]; !ok {
-			cellJobs = append(cellJobs, cellJob(canon, c))
-		}
-		work[c.Key] = append(work[c.Key], c)
 	}
 	if len(cellJobs) == 0 {
-		return cancelled(ctx, results)
+		return
 	}
 
-	var (
-		mu     sync.Mutex // guards results splicing, callbacks, and closed
-		closed bool
-	)
-	// fire splices one shard's fresh results and runs the callbacks, in
-	// job-index (trial) order, then reports the shard's trials [lo, hi)
-	// of every plan in plans as landed (nil plans for a malformed
-	// delivery, which is all errors). After close (cancellation teardown)
-	// late remote deliveries are dropped so nothing touches the results
-	// slice once runRemote returned it.
-	fire := func(rs []JobResult, plans []cellPlan, lo, hi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if closed {
+	closed := false // guarded by e.mu
+	// fire lands trials [lo, hi) of the i-th run — round counts rounds,
+	// failures errs, sorted by trial — and reports each of them. After
+	// close (cancellation teardown) late remote deliveries are dropped
+	// so nothing touches the runs once runRemote returned.
+	fire := func(i, lo, hi int, rounds []uint32, errs []trialErr) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if closed || lo >= hi {
 			return
 		}
-		for _, r := range rs {
-			results[r.Index] = r
-			countJob(r.Err)
-			if cfg.OnResult != nil {
-				cfg.OnResult(r)
+		r := &e.runs[i]
+		copy(r.rounds[lo:hi], rounds)
+		next := errs
+		for t := lo; t < hi; t++ {
+			var err error
+			if len(next) > 0 && next[0].i == t {
+				err, next = next[0].err, next[1:]
 			}
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, len(jobs))
-			}
+			countTrial(err)
+			e.report(r, t, err)
 		}
-		if landed != nil {
-			for _, plan := range plans {
-				landed(plan.Lo+lo, plan.Lo+hi)
-			}
-		}
+		e.land(i, lo, hi, errs)
 	}
-	deliver := func(key string, lo, hi int, trials []Measurement) {
-		plans, ok := work[key]
+	deliver := func(key string, lo, hi int, rounds []uint32) {
+		i, ok := work[key]
 		if !ok {
 			return
 		}
-		n := plans[0].Hi - plans[0].Lo
-		var rs []JobResult
-		if lo < 0 || hi > n || lo > hi || len(trials) != hi-lo {
+		n := e.runs[i].plan.Hi - e.runs[i].plan.Lo
+		if lo < 0 || hi > n || lo > hi || len(rounds) != hi-lo {
 			// The Remote contract (and the coordinator's result
 			// validation) guarantee a shard inside the cell carrying
 			// exactly hi-lo trials; a scheduler that violates it has
 			// marked the shard complete, so the only non-wedging
-			// response is loud per-job errors in the artifact (a hang
+			// response is loud per-trial errors in the artifact (a hang
 			// or a swallowed panic would hide it).
 			err := fmt.Errorf("campaign: remote delivered %d trials for %s[%d:%d) of %d",
-				len(trials), plans[0].Cell, lo, hi, n)
-			for _, plan := range plans {
-				for ti := max(lo, 0); ti < min(hi, n); ti++ {
-					rs = append(rs, JobResult{Index: plan.Lo + ti, Err: err})
-				}
+				len(rounds), e.runs[i].plan.Cell, lo, hi, n)
+			lo, hi = max(lo, 0), max(min(hi, n), lo)
+			errs := make([]trialErr, 0, hi-lo)
+			for t := lo; t < hi; t++ {
+				errs = append(errs, trialErr{t, err})
 			}
-			fire(rs, nil, 0, 0)
+			fire(i, lo, hi, nil, errs)
 			return
 		}
-		// Shards cover disjoint trial ranges, so splicing by trial
-		// position needs no cross-shard bookkeeping.
-		for _, plan := range plans {
-			for ti := lo; ti < hi; ti++ {
-				rs = append(rs, JobResult{Index: plan.Lo + ti, Measurements: trials[ti-lo : ti-lo+1 : ti-lo+1]})
-			}
-		}
-		fire(rs, plans, lo, hi)
+		fire(i, lo, hi, rounds, nil)
 	}
 
-	session := cfg.Remote.Open(cellJobs, deliver)
+	session := e.cfg.Remote.Open(cellJobs, deliver)
 	defer session.Close()
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cellJobs) {
-		workers = len(cellJobs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := NewArena()
-			for {
-				job, ok := session.ClaimLocal(ctx)
-				if !ok {
-					return
-				}
-				// Shard execution on the worker's arena, exactly the
-				// batched pipeline's cell loop: fresh round budget, then
-				// trial after trial through the job closures — for every
-				// plan sharing the claimed content address.
-				lo, hi := job.ShardBounds()
-				lo, hi = max(lo, 0), min(hi, job.Trials)
-				arena.Runner.MaxRounds = 0
-				mBatchTrials.Observe(float64(hi - lo))
-				plans := work[job.Key]
-				rs := make([]JobResult, 0, len(plans)*max(hi-lo, 0))
-				for _, plan := range plans {
-					for ti := lo; ti < hi; ti++ {
-						if ctx.Err() != nil {
-							// Partial shards are discarded (their jobs
-							// stay Skipped), mirroring the local pool's
-							// drain-on-cancel.
-							return
-						}
-						idx := plan.Lo + ti
-						ms, err := jobs[idx].Run(ctx, jobs[idx].Src, arena)
-						rs = append(rs, JobResult{Index: idx, Measurements: ms, Err: err})
-					}
-				}
-				if session.CompleteLocal(job.Key, lo, hi) {
-					fire(rs, plans, lo, hi)
-				}
+	claim := func() (batch, bool) {
+		for {
+			job, ok := session.ClaimLocal(ctx)
+			if !ok {
+				return batch{}, false
 			}
-		}()
+			if i, known := work[job.Key]; known {
+				lo, hi := job.ShardBounds()
+				lo = max(lo, 0)
+				hi = max(min(hi, job.Trials), lo)
+				mBatchTrials.Observe(float64(hi - lo))
+				return batch{i, lo, hi}, true
+			}
+		}
 	}
-	wg.Wait()
+	runPool(min(e.cfg.workers(), len(cellJobs)), claim, func(b batch, a *Arena) {
+		// A local shard runs into the arena's scratch and lands only if
+		// it beats the remote side; a shard cut short by cancellation is
+		// discarded.
+		r := &e.runs[b.cell]
+		a.buf = slices.Grow(a.buf[:0], b.hi-b.lo)[:b.hi-b.lo]
+		var errs []trialErr
+		ran := r.plan.execute(ctx, b.lo, b.hi, a, a.buf, func(i int, err error) bool {
+			if err != nil {
+				errs = append(errs, trialErr{i, err})
+			}
+			return true
+		})
+		if ran == b.hi-b.lo && session.CompleteLocal(r.plan.Key, b.lo, b.hi) {
+			fire(b.cell, b.lo, b.hi, a.buf, errs)
+		}
+	})
 
-	mu.Lock()
+	e.mu.Lock()
 	closed = true
-	mu.Unlock()
-	return cancelled(ctx, results)
+	e.mu.Unlock()
 }

@@ -55,7 +55,7 @@ func shardSplit(job CellJob, shard int) []*fakeShard {
 	return out
 }
 
-func (f *fakeRemote) Open(jobs []CellJob, deliver func(key string, lo, hi int, trials []Measurement)) RemoteSession {
+func (f *fakeRemote) Open(jobs []CellJob, deliver func(key string, lo, hi int, rounds []uint32)) RemoteSession {
 	s := &fakeSession{shards: make(map[string][]*fakeShard, len(jobs)), notify: make(chan struct{})}
 	var mine []*fakeShard
 	i := 0
@@ -295,9 +295,8 @@ func TestRunSpecRemoteShardedCancelStoresLandedCells(t *testing.T) {
 
 // TestExecuteCellJobShard pins the worker-side shard semantics: a
 // sub-range execution returns the entry of exactly the whole-cell run's
-// measurements for those trials (the pre-split streams make position,
-// not company, determine a trial's bytes), and out-of-range bounds are
-// errors.
+// round counts for those trials (a trial's stream depends on its index,
+// not its company), and out-of-range bounds are errors.
 func TestExecuteCellJobShard(t *testing.T) {
 	spec := remoteTestSpec()
 	cellJobs, err := spec.CellJobs()
@@ -323,9 +322,9 @@ func TestExecuteCellJobShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shard [1,3) entry: %v", err)
 	}
-	for i, m := range part {
-		if m != whole[1+i] {
-			t.Errorf("shard trial %d = %+v, whole-cell %+v", 1+i, m, whole[1+i])
+	for i, r := range part {
+		if r != whole[1+i] {
+			t.Errorf("shard trial %d = %d, whole-cell %d", 1+i, r, whole[1+i])
 		}
 	}
 	for _, bad := range [][2]int{{-1, 2}, {2, 2}, {3, 2}, {0, job.Trials + 1}} {
@@ -368,7 +367,7 @@ func TestRunSpecRemoteSkipsCachedCells(t *testing.T) {
 			offered = append(offered, job) // called synchronously by Open
 			return true
 		}},
-		OnResult: func(JobResult) { fresh++ }, // serialized by runRemote's mutex
+		OnResult: func(TrialResult) { fresh++ }, // serialized by the execution's mutex
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +435,7 @@ func TestCellJobsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cells, _, err := spec.compile()
+	cells, _, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,13 @@ func artifactBytes(t *testing.T, o *Outcome) []byte {
 // once every trial of some cell has been reported. That cell's batches
 // have all run by then, so it lands in the cache whatever else the
 // cancellation cuts short.
-func cancelAfterFirstCell(trials int, cancel context.CancelFunc) func(JobResult) {
+func cancelAfterFirstCell(trials int, cancel context.CancelFunc) func(TrialResult) {
 	seen := make(map[string]int)
-	return func(r JobResult) {
-		if len(r.Measurements) == 0 {
+	return func(r TrialResult) {
+		if r.Err != nil {
 			return
 		}
-		cell := r.Measurements[0].Cell
-		if seen[cell]++; seen[cell] == trials {
+		if seen[r.Cell]++; seen[r.Cell] == trials {
 			cancel()
 		}
 	}

@@ -111,7 +111,7 @@ type Family struct {
 	Feasible func(n int, p Params) bool
 	// NewReusable constructs the family's adversary (required). The pool
 	// builds one per (worker, cell) and Resets it to each trial's
-	// pre-split source (DESIGN.md §3d), so per-n scratch persists across
+	// source (DESIGN.md §3d), so per-n scratch persists across
 	// trials; after Reset it must behave exactly as a freshly built one —
 	// same draws, same trees — because artifacts must not depend on which
 	// trials shared an adversary. It must return an error — never panic —

@@ -11,12 +11,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
-	"sort"
 	"strings"
-	"sync/atomic"
 
-	"dyntreecast/internal/campaign/cache"
 	"dyntreecast/internal/core"
 	"dyntreecast/internal/rng"
 )
@@ -37,6 +33,11 @@ const SpecVersion = 2
 
 // scenarioFormHint ends every error about the retired schema.
 const scenarioFormHint = `use the scenario form: "scenarios": [{"adversary": NAME, "params": {...}}]`
+
+// maxGridTrials bounds a spec's grid points × trials, the trial indexes
+// one campaign hands out: they stay ints on every platform, 32-bit ones
+// included, and a campaign's round counts stay within 8 GiB.
+const maxGridTrials = math.MaxInt32
 
 // Spec declaratively describes a campaign: the cross product of
 // Scenarios × Ns × Trials, run toward Goal, seeded by Seed. A Spec plus
@@ -94,6 +95,10 @@ func (s *Spec) canonical() (Spec, []groundScenario, error) {
 	}
 	if s.Trials < 1 {
 		return Spec{}, nil, fmt.Errorf("campaign: trials must be >= 1, got %d", s.Trials)
+	}
+	if s.Trials > maxGridTrials/len(grounds)/len(s.Ns) {
+		return Spec{}, nil, fmt.Errorf("campaign: %d scenarios × %d ns × %d trials exceed the %d trials one campaign can index",
+			len(grounds), len(s.Ns), s.Trials, maxGridTrials)
 	}
 	switch s.Goal {
 	case "", "broadcast", "gossip":
@@ -189,15 +194,20 @@ func (s *Spec) cellCacheKey(g groundScenario, n int) string {
 
 // cellPlan records one grid cell of a planned spec: its coordinates, its
 // cache key, and the job-index range [Lo, Hi) of its trials, in trial
-// order. ground and N are the cell's canonical coordinates, kept so
-// compile can build the cell's jobs and the remote layer can rebuild the
-// cell as a self-contained single-cell spec (see cellJob).
+// order. ground and N are the cell's canonical coordinates, kept so the
+// executor can build the cell's adversary and the remote layer can
+// rebuild the cell as a self-contained single-cell spec (see cellJob);
+// seed, goal and maxRounds are what the executor needs to run its
+// trials.
 type cellPlan struct {
-	Cell   string // display key (groundScenario.cellName)
-	Key    string // content address (cellCacheKey)
-	ground groundScenario
-	N      int // the cell's n coordinate
-	Lo, Hi int // job indexes of the cell's trials
+	Cell      string // display key (groundScenario.cellName)
+	Key       string // content address (cellCacheKey)
+	ground    groundScenario
+	N         int    // the cell's n coordinate
+	Lo, Hi    int    // job indexes of the cell's trials
+	seed      uint64 // root seed of the cell's trial streams (cellSeed)
+	goal      core.Goal
+	maxRounds int
 }
 
 // plan validates the spec and lays out its grid without building jobs:
@@ -219,7 +229,8 @@ func (s *Spec) plan() ([]cellPlan, Spec, error) {
 				continue
 			}
 			cells = append(cells, cellPlan{Cell: g.cellName(n), Key: canon.cellCacheKey(g, n),
-				ground: g, N: n, Lo: lo, Hi: lo + canon.Trials})
+				ground: g, N: n, Lo: lo, Hi: lo + canon.Trials,
+				seed: canon.cellSeed(g, n), goal: canon.goal(), maxRounds: canon.MaxRounds})
 			lo += canon.Trials
 		}
 	}
@@ -229,53 +240,91 @@ func (s *Spec) plan() ([]cellPlan, Spec, error) {
 	return cells, canon, nil
 }
 
-// Compile validates the spec and expands its planned grid into jobs, one
-// per trial, cell after cell. Each cell's random streams are derived
-// content-addressed — a root source seeded by a hash of (engine version,
-// seed, goal, round budget, canonical scenario, n), split serially in
-// trial order — so every cell's results are a pure function of the
-// spec's seed and the cell's own coordinates, independent of what else
-// the grid contains.
-func (s *Spec) Compile() ([]Job, error) {
-	jobs, _, _, err := s.compile()
-	return jobs, err
+// newAdversary builds the cell's reusable adversary.
+func (c *cellPlan) newAdversary() (ReusableAdversary, error) {
+	return c.ground.family.NewReusable(c.N, c.ground.params)
 }
 
-func (s *Spec) compile() ([]Job, []cellPlan, Spec, error) {
-	cells, canon, err := s.plan()
-	if err != nil {
-		return nil, nil, Spec{}, err
+// execute is the cell executor: it runs trials [lo, hi) of the cell on
+// arena a, in trial order, writes trial i's round count to rounds[i-lo],
+// and returns how many trials it ran. Trial i draws from New(the cell
+// root's i-th output) — the source Split hands the i-th trial — so the
+// arena's root is advanced to lo (from where the worker's last range of
+// the cell left it, when that is not past lo) and its one trial Source
+// is reseeded per trial: a trial's stream depends on its index alone,
+// never on the range that ran it. after is told each trial's error (nil
+// on success); execution stops after a trial it answers false for, and
+// before the next trial once ctx is done. A failed trial's slot is 0.
+func (c *cellPlan) execute(ctx context.Context, lo, hi int, a *Arena, rounds []uint32, after func(i int, err error) bool) int {
+	if a.rootOf != c || a.next > lo {
+		a.root.Seed(c.seed)
+		a.rootOf, a.next = c, 0
 	}
-	goal := canon.goal()
+	for ; a.next < lo; a.next++ {
+		a.root.Uint64()
+	}
+	build := c.newAdversary
+	for i := lo; i < hi; i++ {
+		if ctx.Err() != nil {
+			return i - lo
+		}
+		a.src.Seed(a.root.Uint64())
+		a.next++
+		r, err := c.trial(&a.src, a, build)
+		rounds[i-lo] = r
+		if !after(i, err) {
+			return i - lo + 1
+		}
+	}
+	return hi - lo
+}
+
+// trial runs one trial of the cell from src on arena a, building the
+// adversary through build when the arena holds another cell's.
+func (c *cellPlan) trial(src *rng.Source, a *Arena, build func() (ReusableAdversary, error)) (uint32, error) {
+	adv, err := a.AdversaryFor(c.Cell, src, build)
+	if err == nil {
+		a.Runner.MaxRounds = c.maxRounds
+		var rounds int
+		if rounds, err = a.Runner.Run(c.N, adv, c.goal); err == nil {
+			if uint64(rounds) <= math.MaxUint32 {
+				return uint32(rounds), nil
+			}
+			err = fmt.Errorf("%d rounds overflow a round count", rounds)
+		}
+	}
+	return 0, fmt.Errorf("campaign: %s: %w", c.Cell, err)
+}
+
+// Compile validates the spec and expands its planned grid into jobs, one
+// per trial, cell after cell. Each job owns the source Split hands its
+// trial off the cell's root — the stream the cell executor derives for
+// the same trial index — and runs the trial the executor would.
+//
+// Deprecated: part of the job-per-trial adapter (see Run). RunSpec plans
+// cells without building jobs.
+func (s *Spec) Compile() ([]Job, error) {
+	cells, _, err := s.plan()
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]Job, 0, cells[len(cells)-1].Hi)
-	for _, c := range cells {
-		root := rng.New(canon.cellSeed(c.ground, c.N))
-		run := runCell(c.ground, c.N, c.Cell, goal, canon.MaxRounds)
-		for range canon.Trials {
+	for i := range cells {
+		c := &cells[i]
+		build := c.newAdversary
+		run := func(_ context.Context, src *rng.Source, a *Arena) ([]Measurement, error) {
+			rounds, err := c.trial(src, a, build)
+			if err != nil {
+				return nil, err
+			}
+			return []Measurement{{Cell: c.Cell, Value: float64(rounds)}}, nil
+		}
+		root := rng.New(c.seed)
+		for range c.Hi - c.Lo {
 			jobs = append(jobs, Job{Index: len(jobs), Cell: c.Cell, Src: root.Split(), Run: run})
 		}
 	}
-	return jobs, cells, canon, nil
-}
-
-// runCell returns the trial closure every job of one grid cell shares:
-// the trial runs on the worker's pooled Runner against the cell's
-// adversary, built by the family's NewReusable once per (worker, cell)
-// and Reset to the trial's source (Arena.AdversaryFor).
-func runCell(g groundScenario, n int, cell string, goal core.Goal, maxRounds int) func(context.Context, *rng.Source, *Arena) ([]Measurement, error) {
-	build := func() (ReusableAdversary, error) { return g.family.NewReusable(n, g.params) }
-	return func(_ context.Context, src *rng.Source, a *Arena) ([]Measurement, error) {
-		adv, err := a.AdversaryFor(cell, src, build)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", cell, err)
-		}
-		a.Runner.MaxRounds = maxRounds
-		rounds, err := a.Runner.Run(n, adv, goal)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", cell, err)
-		}
-		return []Measurement{{Cell: cell, Value: float64(rounds)}}, nil
-	}
+	return jobs, nil
 }
 
 // Outcome is the aggregated, machine-diffable result of a campaign run.
@@ -312,56 +361,32 @@ type Outcome struct {
 // Cluster workers present it at lease time, next to EngineVersion.
 const CellEntryFormat = 1
 
-// maxEntryRounds bounds an entry's round counts to the integers a
-// float64 measurement holds exactly, so every decoded entry re-encodes to
-// the same bytes.
-const maxEntryRounds = 1 << 53
+// maxEntryRounds bounds an entry's round counts to what a trial's uint32
+// round count holds, so every decoded entry re-encodes to the same bytes.
+const maxEntryRounds = math.MaxUint32
 
-// appendEntryHeader appends the header of an entry holding trials trials
-// of the named cell.
-func appendEntryHeader(b []byte, cell string, trials int) []byte {
+// appendCellEntry appends to b the entry of the named cell whose trials
+// have the given round counts, in trial order.
+func appendCellEntry(b []byte, cell string, rounds []uint32) []byte {
 	b = append(b, CellEntryFormat)
 	b = binary.AppendUvarint(b, uint64(len(cell)))
 	b = append(b, cell...)
-	return binary.AppendUvarint(b, uint64(trials))
-}
-
-// appendEntryTrial appends one trial's round count. The trial must be
-// exactly one measurement of the named cell whose value is a
-// non-negative integer; anything else cannot be stored.
-func appendEntryTrial(b []byte, cell string, ms []Measurement) ([]byte, error) {
-	if len(ms) != 1 || ms[0].Cell != cell {
-		return b, fmt.Errorf("campaign: cell entry %s: a trial must be one measurement of the cell, got %v", cell, ms)
+	b = binary.AppendUvarint(b, uint64(len(rounds)))
+	for _, r := range rounds {
+		b = binary.AppendUvarint(b, uint64(r))
 	}
-	if v := ms[0].Value; !(v >= 0 && v <= maxEntryRounds) || math.Signbit(v) || v != math.Trunc(v) {
-		return b, fmt.Errorf("campaign: cell entry %s: value %v is not a round count", cell, v)
-	}
-	return binary.AppendUvarint(b, uint64(ms[0].Value)), nil
-}
-
-// appendCellEntry appends to b the entry of the cell named cell whose
-// trials are results, in order. The cell store encodes every cell into
-// one reused buffer through it.
-func appendCellEntry(b []byte, cell string, results []JobResult) ([]byte, error) {
-	b = appendEntryHeader(b, cell, len(results))
-	for _, r := range results {
-		var err error
-		if b, err = appendEntryTrial(b, cell, r.Measurements); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
+	return b
 }
 
 // DecodeCellEntry decodes an entry that must be the named cell's and hold
-// exactly trials trials, returning one measurement per trial, in trial
+// exactly trials trials, returning one round count per trial, in trial
 // order, in a single allocation. It is the one reader of cell cache
 // entries and cluster pushes alike, and it trusts nothing: the format,
 // the cell name and the trial count are checked against the caller's
 // expectation, and the count against the bytes that remain, before
 // anything is allocated; torn input, non-minimal varints, round counts
 // beyond maxEntryRounds and trailing bytes are errors.
-func DecodeCellEntry(data []byte, cell string, trials int) ([]Measurement, error) {
+func DecodeCellEntry(data []byte, cell string, trials int) ([]uint32, error) {
 	if len(data) == 0 || data[0] != CellEntryFormat {
 		return nil, fmt.Errorf("campaign: cell entry %s: not in entry format %d", cell, CellEntryFormat)
 	}
@@ -382,22 +407,25 @@ func DecodeCellEntry(data []byte, cell string, trials int) ([]Measurement, error
 	case count > uint64(len(p)):
 		return nil, fmt.Errorf("campaign: cell entry %s: %d trials in %d bytes", cell, count, len(p))
 	}
-	ms := make([]Measurement, count)
-	for i := range ms {
-		var rounds uint64
-		if rounds, p, err = entryUvarint(p); err != nil || rounds > maxEntryRounds {
+	rounds := make([]uint32, count)
+	for i := range rounds {
+		var r uint64
+		if r, p, err = entryUvarint(p); err != nil || r > maxEntryRounds {
 			return nil, fmt.Errorf("campaign: cell entry %s: torn or out-of-range trial %d", cell, i)
 		}
-		ms[i] = Measurement{Cell: cell, Value: float64(rounds)}
+		rounds[i] = uint32(r)
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("campaign: cell entry %s: %d trailing bytes", cell, len(p))
 	}
-	return ms, nil
+	return rounds, nil
 }
 
 // entryUvarint reads one minimally encoded uvarint off the front of p.
 func entryUvarint(p []byte) (uint64, []byte, error) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), p[1:], nil // the one-byte common case
+	}
 	v, n := binary.Uvarint(p)
 	if n <= 0 || (n > 1 && p[n-1] == 0) {
 		return 0, p, errors.New("bad uvarint")
@@ -406,198 +434,15 @@ func entryUvarint(p []byte) (uint64, []byte, error) {
 }
 
 // SummarizeCellEntry decodes an entry that must be the named cell's and
-// hold exactly trials trials, and summarizes it the way Aggregate
-// summarizes a live run — values pooled in trial order — so stats read
-// back from stored bytes match the artifact's bit for bit. Torn, foreign
-// or mis-sized bytes are an error.
+// hold exactly trials trials, and summarizes it the way RunSpec
+// summarizes a live run, so stats read back from stored bytes match the
+// artifact's bit for bit. Torn, foreign or mis-sized bytes are an error.
 func SummarizeCellEntry(data []byte, cell string, trials int) (CellStats, error) {
-	ms, err := DecodeCellEntry(data, cell, trials)
+	rounds, err := DecodeCellEntry(data, cell, trials)
 	if err != nil {
 		return CellStats{}, err
 	}
-	xs := make([]float64, len(ms))
-	for i, m := range ms {
-		xs[i] = m.Value
-	}
-	return summarize(cell, xs), nil
-}
-
-// RunSpec compiles and executes the spec on cfg's worker pool and
-// aggregates per-cell statistics. Job failures do not abort the campaign:
-// they are counted and recorded (in job-index order) in Outcome.Errors.
-// The returned error is non-nil only for an invalid spec, a cache backend
-// failure, or a cancelled context; on cancellation the partial Outcome is
-// still returned.
-//
-// When cfg.Cache is set, each cell whose content address is present in
-// the cache is served from it (its jobs never reach the pool), and each
-// cell computed fresh and fully successful is stored back as soon as its
-// last trial lands. A cancelled or killed run therefore leaves every
-// completed cell in the cache, and rerunning the spec over the same cache
-// — at any worker count — executes only the missing cells. Either way the
-// aggregated Outcome, and its JSON artifact, is byte-identical to an
-// uncached, uninterrupted run, because results are observed in job-index
-// order regardless of provenance.
-func RunSpec(ctx context.Context, spec Spec, cfg Config) (*Outcome, error) {
-	jobs, cells, canon, err := spec.compile()
-	if err != nil {
-		return nil, err
-	}
-	mRunsStarted.Inc()
-	mRunsActive.Inc()
-	defer mRunsActive.Dec()
-	results := newResults(len(jobs))
-	cacheHits := 0
-	var (
-		st     *cellStore
-		landed func(lo, hi int)
-	)
-	if cfg.Cache != nil {
-		for _, c := range cells {
-			trials, ok, err := loadCell(cfg.Cache, c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			for ti := range trials {
-				results[c.Lo+ti] = JobResult{Index: c.Lo + ti, Measurements: trials[ti : ti+1 : ti+1]}
-			}
-			cacheHits += len(trials)
-		}
-		st = newCellStore(cfg.Cache, cells, results)
-		landed = st.landed
-	}
-	execute := func() error {
-		if cfg.Remote != nil {
-			return runRemote(ctx, jobs, cells, canon, results, cfg, landed)
-		}
-		return runLocal(ctx, jobs, results, cfg, landed)
-	}
-	var runErr error
-	if st == nil {
-		runErr = execute()
-	} else {
-		// Execution moves to its own goroutine; this one is the only
-		// one that touches the cache, storing cells as they land.
-		go func() {
-			runErr = execute()
-			close(st.queue)
-		}()
-		if err := st.drain(); err != nil {
-			return nil, err
-		}
-	}
-	out := &Outcome{Spec: canon, Jobs: len(jobs), Cells: Aggregate(results), CacheHits: cacheHits}
-	for _, r := range results {
-		switch {
-		case r.Skipped:
-		case r.Err != nil:
-			out.Failed++
-			out.Errors = append(out.Errors, r.Err.Error())
-		default:
-			out.Completed++
-		}
-	}
-	out.Executed = out.Completed + out.Failed - cacheHits
-	return out, runErr
-}
-
-// loadCell reads one cell's per-trial measurements from the cache, one
-// per trial. A truncated, torn, or foreign entry — or one in another
-// entry format — is a miss, never an error: the cell
-// is recomputed (the determinism contract makes the recomputation
-// byte-identical to what the entry should have held). Backends that can
-// delete also heal — the bad bytes are evicted immediately instead of
-// being served to readers that never Put (the warehouse query layer)
-// until some campaign overwrites them.
-func loadCell(c cache.Cache, plan cellPlan) ([]Measurement, bool, error) {
-	data, ok, err := c.Get(plan.Key)
-	if err != nil {
-		return nil, false, fmt.Errorf("campaign: cache get %s: %w", plan.Cell, err)
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	if trials, err := DecodeCellEntry(data, plan.Cell, plan.Hi-plan.Lo); err == nil {
-		return trials, true, nil
-	}
-	if d, ok := c.(cache.Deleter); ok {
-		if err := d.Delete(plan.Key); err != nil {
-			return nil, false, fmt.Errorf("campaign: cache delete %s: %w", plan.Cell, err)
-		}
-	}
-	return nil, false, nil
-}
-
-// cellStore is RunSpec's persistence path. Execution reports each range
-// of jobs whose results have landed; once every trial of a cell has
-// landed, the cell is queued to RunSpec's own goroutine, which encodes it
-// and Puts it into the cache (drain). Cells are thus stored as they
-// finish — a cancelled or killed run leaves every completed cell behind —
-// yet the Puts never run on a worker, under a results lock, or on a
-// remote delivery path.
-type cellStore struct {
-	cache   cache.Cache
-	cells   []cellPlan
-	results []JobResult
-	left    []atomic.Int64 // per cell: trials that have not landed yet
-	queue   chan int       // cells whose every trial landed; never blocks
-}
-
-func newCellStore(c cache.Cache, cells []cellPlan, results []JobResult) *cellStore {
-	st := &cellStore{
-		cache: c, cells: cells, results: results,
-		left:  make([]atomic.Int64, len(cells)),
-		queue: make(chan int, len(cells)), // each cell is queued at most once
-	}
-	for i, c := range cells {
-		st.left[i].Store(int64(c.Hi - c.Lo))
-	}
-	return st
-}
-
-// landed records that jobs [lo, hi) hold their final results. The range
-// may span several cells: duplicate grid cells share a display key, so
-// one batch can cover the end of one and the start of the next.
-func (st *cellStore) landed(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	i := sort.Search(len(st.cells), func(i int) bool { return st.cells[i].Hi > lo })
-	for ; i < len(st.cells) && st.cells[i].Lo < hi; i++ {
-		c := st.cells[i]
-		n := min(hi, c.Hi) - max(lo, c.Lo)
-		if st.left[i].Add(-int64(n)) == 0 {
-			st.queue <- i
-		}
-	}
-}
-
-// drain stores every queued cell whose trials all succeeded until the
-// queue is closed, and reports the first encode or Put failure (cells
-// queued after it are not stored). Duplicate grid cells share a content
-// address; each Put rewrites identical bytes.
-func (st *cellStore) drain() error {
-	var (
-		first error
-		buf   []byte // one encoding buffer for every cell
-	)
-	for i := range st.queue {
-		c := st.cells[i]
-		trials := st.results[c.Lo:c.Hi]
-		if first != nil || slices.ContainsFunc(trials, func(r JobResult) bool { return r.Err != nil }) {
-			continue
-		}
-		var err error
-		if buf, err = appendCellEntry(buf[:0], c.Cell, trials); err != nil {
-			first = fmt.Errorf("campaign: encoding cache entry %s: %w", c.Cell, err)
-		} else if err := st.cache.Put(c.Key, buf); err != nil {
-			first = fmt.Errorf("campaign: cache put %s: %w", c.Cell, err)
-		}
-	}
-	return first
+	return summarize(cell, rounds, &rounds), nil // sorts the decoded copy in place
 }
 
 // LoadSpec reads a JSON Spec from r, rejecting unknown fields so typos in

@@ -19,9 +19,9 @@
 //
 // Correctness leans entirely on the campaign determinism contract: a
 // shard is a pure function of its content address and trial range (every
-// trial's random stream is pre-split at compile time), so the
-// coordinator is free to re-issue expired leases, let the local pool
-// steal abandoned shards, and drop duplicate or stale results —
+// trial's random stream derives from the address and the trial's
+// index), so the coordinator is free to re-issue expired leases, let the
+// local pool steal abandoned shards, and drop duplicate or stale results —
 // whichever source completes a shard first supplies bytes identical to
 // every other source. A dead, slow, stale-versioned, or truncating
 // worker can therefore change only wall-clock time, never an artifact.
@@ -64,8 +64,9 @@ type Options struct {
 	// of at most this many trials and leases them independently, so one
 	// huge cell saturates the fleet instead of one worker. 0 (the
 	// default) keeps the whole cell as the lease unit. Any value
-	// produces byte-identical artifacts — each trial's random stream is
-	// pre-split at compile time, so the shard size is pure scheduling.
+	// produces byte-identical artifacts — each trial's random stream
+	// depends only on its cell and index, so the shard size is pure
+	// scheduling.
 	ShardTrials int
 	// Logf, when non-nil, receives one line per lease lifecycle event.
 	Logf func(format string, args ...any)
@@ -160,8 +161,8 @@ type lease struct {
 type session struct {
 	c       *Coordinator
 	id      int
-	deliver func(key string, lo, hi int, trials []campaign.Measurement)
-	order   []string // claim order (campaign compile order)
+	deliver func(key string, lo, hi int, rounds []uint32)
+	order   []string // claim order (campaign plan order)
 	cells   map[string]*cellState
 	pending int // shards not yet complete
 	closed  bool
@@ -257,7 +258,7 @@ func (c *Coordinator) Handler() http.Handler {
 // Open implements campaign.Remote: it registers a campaign's pending
 // cells for leasing and returns the session its local pool coordinates
 // through.
-func (c *Coordinator) Open(jobs []campaign.CellJob, deliver func(key string, lo, hi int, trials []campaign.Measurement)) campaign.RemoteSession {
+func (c *Coordinator) Open(jobs []campaign.CellJob, deliver func(key string, lo, hi int, rounds []uint32)) campaign.RemoteSession {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextSess++
@@ -306,7 +307,7 @@ func (c *Coordinator) dropLease(sh *shardState) {
 
 // ClaimLocal implements campaign.RemoteSession. Local workers get shards
 // that are unleased — or whose lease has expired (the local steal that
-// makes a dead worker cost only wall-clock) — in campaign compile order,
+// makes a dead worker cost only wall-clock) — in campaign plan order,
 // and block while every pending shard is under an active lease.
 func (s *session) ClaimLocal(ctx context.Context) (campaign.CellJob, bool) {
 	c := s.c
@@ -589,7 +590,7 @@ func (c *Coordinator) HandleResults(w http.ResponseWriter, r *http.Request) {
 		requeue("invalid", fmt.Sprintf("trial range mismatch: pushed [%d,%d), leased [%d,%d)", pLo, pHi, sh.lo, sh.hi))
 		return
 	}
-	trials, err := campaign.DecodeCellEntry(push.Entry, cs.job.Cell, sh.hi-sh.lo)
+	rounds, err := campaign.DecodeCellEntry(push.Entry, cs.job.Cell, sh.hi-sh.lo)
 	if err != nil {
 		requeue("invalid", err.Error())
 		return
@@ -611,7 +612,7 @@ func (c *Coordinator) HandleResults(w http.ResponseWriter, r *http.Request) {
 	// once is guaranteed by the done flip above; pending is decremented
 	// only after delivery, so the campaign cannot observe "all shards
 	// complete" while this shard's results are still in flight.
-	deliver(push.Key, lo, hi, trials)
+	deliver(push.Key, lo, hi, rounds)
 	c.mu.Lock()
 	s.pending--
 	s.wake()

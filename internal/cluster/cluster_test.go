@@ -144,13 +144,13 @@ func TestLegacyTrialsPushRequeued(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExecuteCellJob: %v", err)
 	}
-	trials, err := campaign.DecodeCellEntry(entry, jobs[0].Cell, jobs[0].Trials)
+	rounds, err := campaign.DecodeCellEntry(entry, jobs[0].Cell, jobs[0].Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyTrials := make([][]campaign.Measurement, len(trials))
-	for i := range trials {
-		legacyTrials[i] = trials[i : i+1]
+	legacyTrials := make([][]map[string]any, len(rounds))
+	for i, r := range rounds {
+		legacyTrials[i] = []map[string]any{{"cell": jobs[0].Cell, "value": r}}
 	}
 	legacy := map[string]any{"lease_id": lease("old").LeaseID, "worker": "old", "key": jobs[0].Key, "trials": legacyTrials}
 	var ack ResultAck
@@ -180,7 +180,7 @@ func TestLegacyTrialsPushRequeued(t *testing.T) {
 type delivery struct {
 	key    string
 	lo, hi int
-	trials []campaign.Measurement
+	rounds []uint32
 }
 
 func openSession(t *testing.T, c *Coordinator, spec campaign.Spec) (campaign.RemoteSession, []campaign.CellJob, *[]delivery, *sync.Mutex) {
@@ -191,10 +191,10 @@ func openSession(t *testing.T, c *Coordinator, spec campaign.Spec) (campaign.Rem
 	}
 	var mu sync.Mutex
 	var got []delivery
-	sess := c.Open(jobs, func(key string, lo, hi int, trials []campaign.Measurement) {
+	sess := c.Open(jobs, func(key string, lo, hi int, rounds []uint32) {
 		mu.Lock()
 		defer mu.Unlock()
-		got = append(got, delivery{key, lo, hi, trials})
+		got = append(got, delivery{key, lo, hi, rounds})
 	})
 	return sess, jobs, &got, &mu
 }
@@ -243,7 +243,7 @@ func TestLeaseExpiryReissueAndStaleDrop(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(*got) != 1 || (*got)[0].key != jobs[0].Key || len((*got)[0].trials) != jobs[0].Trials {
+	if len(*got) != 1 || (*got)[0].key != jobs[0].Key || len((*got)[0].rounds) != jobs[0].Trials {
 		t.Fatalf("deliveries = %+v, want exactly one full delivery of %s", *got, jobs[0].Cell)
 	}
 	if s := c.Stats(); s.RemoteCells != 1 || s.Requeued != 1 {
@@ -610,7 +610,7 @@ func TestRunWorkerExecutesLeasedCell(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if (*got)[0].key != jobs[0].Key || len((*got)[0].trials) != jobs[0].Trials {
+	if (*got)[0].key != jobs[0].Key || len((*got)[0].rounds) != jobs[0].Trials {
 		t.Fatalf("delivery = %+v, want full %s", (*got)[0], jobs[0].Cell)
 	}
 	if s := c.Stats(); s.RemoteCells != 1 || s.LeasesGranted != 1 {
@@ -781,7 +781,7 @@ func TestShardedLeasesCoverCell(t *testing.T) {
 	defer mu.Unlock()
 	seen := map[[2]int]int{}
 	for _, d := range *got {
-		if d.key != jobs[0].Key || len(d.trials) != d.hi-d.lo {
+		if d.key != jobs[0].Key || len(d.rounds) != d.hi-d.lo {
 			t.Fatalf("delivery %+v malformed for %s", d, jobs[0].Cell)
 		}
 		seen[[2]int{d.lo, d.hi}]++
@@ -854,7 +854,7 @@ func TestShardedWholeCellPushRequeued(t *testing.T) {
 		t.Fatalf("deliveries = %+v, want exactly [0,3)", *got)
 	}
 	// Shard bytes ≡ the whole-cell run's bytes for the same trials.
-	for i, m := range (*got)[0].trials {
+	for i, m := range (*got)[0].rounds {
 		if m != whole[i] {
 			t.Fatalf("shard trial %d = %+v, whole-cell %+v", i, m, whole[i])
 		}

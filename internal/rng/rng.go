@@ -24,17 +24,23 @@ type Source struct {
 // authors' recommendation.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed resets s in place to the stream New(seed) returns, so a caller
+// that runs many streams one after another can reuse one Source.
+func (s *Source) Seed(seed uint64) {
 	sm := seed
-	for i := range src.s {
-		sm, src.s[i] = splitmix64(sm)
+	for i := range s.s {
+		sm, s.s[i] = splitmix64(sm)
 	}
 	// xoshiro256** requires a nonzero state; splitmix64 of any seed yields
 	// one with overwhelming probability, but guard the (seed-crafted)
 	// pathological case anyway.
-	if src.s == [4]uint64{} {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if s.s == [4]uint64{} {
+		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // splitmix64 advances the splitmix64 state and returns (newState, output).

@@ -178,6 +178,28 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesSplit: reseeding one used Source in place with a root's
+// successive outputs replays exactly the streams Split hands out, the
+// zero-seed guard included — the contract the campaign executor's
+// per-trial sources rest on.
+func TestSeedMatchesSplit(t *testing.T) {
+	split, seeds := New(41), New(41)
+	var reused Source
+	for trial := 0; trial < 20; trial++ {
+		want := split.Split()
+		reused.Seed(seeds.Uint64())
+		for draw := 0; draw < 5; draw++ {
+			if x, y := want.Uint64(), reused.Uint64(); x != y {
+				t.Fatalf("trial %d draw %d: split %d, reseeded %d", trial, draw, x, y)
+			}
+		}
+	}
+	reused.Seed(0)
+	if reused != *New(0) {
+		t.Error("Seed(0) differs from New(0)")
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

@@ -284,7 +284,7 @@ func (s *Server) execute(r *run) {
 	s.logf("campaign %s: %s", r.id, r.statusLine())
 }
 
-func (r *run) onResult(res campaign.JobResult) {
+func (r *run) onResult(res campaign.TrialResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if res.Err != nil {
@@ -292,10 +292,8 @@ func (r *run) onResult(res campaign.JobResult) {
 		r.events = append(r.events, event{Index: res.Index, Err: res.Err.Error()})
 	} else {
 		r.completed++
-		for _, m := range res.Measurements {
-			v := m.Value
-			r.events = append(r.events, event{Index: res.Index, Cell: m.Cell, Value: &v})
-		}
+		v := float64(res.Rounds)
+		r.events = append(r.events, event{Index: res.Index, Cell: res.Cell, Value: &v})
 	}
 	// Trim the replay window in batches so the copy amortizes to O(1)
 	// per event.
@@ -404,17 +402,21 @@ func (r *run) view(withCells bool) statusView {
 	// outcome carries the byte-stable aggregates.
 	v.Completed, v.Failed = r.completed, r.failed
 	if withCells {
-		results := make([]campaign.JobResult, 0, len(r.events))
+		byCell := make(map[string][]uint32)
+		var order []string
 		for _, e := range r.events {
 			if e.Err != "" || e.Value == nil {
 				continue
 			}
-			results = append(results, campaign.JobResult{
-				Index:        e.Index,
-				Measurements: []campaign.Measurement{{Cell: e.Cell, Value: *e.Value}},
-			})
+			if _, seen := byCell[e.Cell]; !seen {
+				order = append(order, e.Cell)
+			}
+			byCell[e.Cell] = append(byCell[e.Cell], uint32(*e.Value))
 		}
-		v.Cells = campaign.Aggregate(results)
+		v.Cells = make([]campaign.CellStats, len(order))
+		for i, cell := range order {
+			v.Cells[i] = campaign.SummarizeRounds(cell, byCell[cell])
+		}
 	}
 	return v
 }
